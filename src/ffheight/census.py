@@ -9,10 +9,16 @@ F_q; this module counts its solutions exactly.  Three paths:
   primitivity).
 * blocks: when a set L of variables appears in every monomial with joint
   degree at most 1, the system is linear in L over the rest.  Split the
-  rest into A (coupled to L) and B; for each A-assignment the condition on
-  B is membership of a pattern vector in a fixed subspace, so one matrix
-  product against the precomputed pattern table settles a whole fiber.
-  Fibers with the same reduced null-space system share one computation.
+  rest into A (coupled to L) and B; each A-assignment (an A-fiber) gives
+  a matrix M in L and pattern coefficients G.  The fibers are handled a
+  chunk at a time by one batched Gauss-Jordan mod q on the stacked
+  [M | I], which yields every fiber's rank and left null space N; a
+  second batched Gauss-Jordan brings the constraint rows N G to their
+  canonical RREF.  The condition on B is that its pattern vector satisfy
+  those rows, so fibers are grouped by the bytes of the RREF and one
+  matrix product against the precomputed pattern table settles each
+  distinct RREF.  A fiber of rank r adds q^(|L| - r) solutions per
+  satisfying B-point.
 * projective counts run the affine core at every bound m <= b and peel
   content: a nonzero solution is uniquely a monic polynomial times a
   primitive one, and the system is homogeneous, so the primitive counts
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +52,14 @@ from .varieties import (
 
 DEFAULT_BUDGET = 10**9
 PLAIN_CUTOFF = 200_000
+# the enumeration stores residues as int16 and multiplies them in int32
+MAX_Q = 32767
+_FIBER_CHUNK = 128  # A-fibers per batched elimination
+
+
+def _check_q(q):
+    if q > MAX_Q:
+        raise ValueError(f"census needs q <= {MAX_Q}, got q = {q}")
 
 
 class BudgetExceeded(RuntimeError):
@@ -195,56 +210,40 @@ def _linear_block(compiled, active):
     return block
 
 
-def _small_solve(mrows, q, width):
-    """Rank and left-null basis of an integer matrix mod q.
+def _gauss_jordan(aug, ncols, q, inv):
+    """Reduce a stack of matrices mod q, in place, to RREF on the first
+    ncols columns; the other columns follow the row operations.
 
-    Gaussian elimination on [M | I]; rows whose M-part vanishes give the
-    left-null combinations in their I-part.
+    aug has shape (fibers, rows, width) with entries in [0, q), and inv is
+    the table of inverses mod q.  Returns the rank of each matrix's first
+    ncols columns.  Pivot rows are normalised and their columns cleared
+    above and below, so the result is the unique reduced echelon form, with
+    the zero rows at the bottom.
     """
-    nrows = len(mrows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(nrows)] for i, r in enumerate(mrows)]
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, nrows) if aug[i][c] % q), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = pow(aug[r][c], q - 2, q)
-        aug[r] = [x * inv % q for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] % q:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % q for x, y in zip(aug[i], aug[r])]
-        r += 1
-        if r == nrows:
-            break
-    null = [row[width:] for row in aug[r:]]
-    return r, null
-
-
-def _rref_key(rows, q):
-    """Canonical bytes of the row space of an integer matrix mod q."""
-    if not rows:
-        return b""
-    work = [list(r) for r in rows]
-    ncols = len(work[0])
-    r = 0
+    nf, nrows, _ = aug.shape
+    idx = np.arange(nf)
+    rows = np.arange(nrows)
+    rank = np.zeros(nf, dtype=np.int64)
     for c in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] % q), None)
-        if piv is None:
+        cand = (aug[:, :, c] != 0) & (rows >= rank[:, None])
+        has = cand.any(axis=1)
+        if not has.any():
             continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][c], q - 2, q)
-        work[r] = [x * inv % q for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] % q:
-                f = work[i][c]
-                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    live = [tuple(row) for row in work[:r]]
-    return bytes(x for row in live for x in row)
+        r = np.minimum(rank, nrows - 1)
+        piv = np.where(has, cand.argmax(axis=1), r)
+        # rows from the rank down are zero left of c, so only columns c..
+        # take part in the swap and the elimination
+        top, low = aug[idx, r, c:], aug[idx, piv, c:]
+        prow = np.where(has[:, None], low * inv[low[:, 0]][:, None] % q, 0)
+        aug[idx, piv, c:] = top
+        aug[idx, r, c:] = np.where(has[:, None], prow, top)
+        f = aug[:, :, c].copy()
+        f[idx, r] = 0
+        right = aug[:, :, c:]
+        right -= f[:, :, None] * prow[:, None, :]
+        right %= q
+        rank += has
+    return rank
 
 
 def _block_count(compiled, nvars, q, budget, stats) -> int:
@@ -303,49 +302,54 @@ def _block_count(compiled, nvars, q, budget, stats) -> int:
     nl = len(l_list)
 
     # pattern table over the enumerated B-side
-    pmat = np.zeros((npat, nb), dtype=np.int16)
+    # float64 so that the products below run through BLAS; they stay exact
+    # integers, as npat * q**2 < 2**53
+    pmat = np.zeros((npat, nb), dtype=np.float64)
     bcols = {v: xb[:, bpos[v]] for v in bpos}
     for bpart, j in patterns.items():
-        col = np.ones(nb, dtype=np.int32)
+        col = np.ones(nb, dtype=np.int64)
         for var, e in bpart:
-            p = bcols[var].astype(np.int32)
-            for _ in range(e - 1):
-                p = p * bcols[var] % q
-            col = col * p % q
+            for _ in range(e):
+                col = col * bcols[var] % q
         pmat[j] = col
 
-    acols = {v: xa[:, apos[v]] for v in apos}
-    m_all = np.zeros((na, ne, nl), dtype=np.int16)
-    g_all = np.zeros((na, ne, npat), dtype=np.int16)
-    for ei in range(ne):
-        for li, terms in m_polys[ei].items():
-            m_all[:, ei, li] = _eval_terms(terms, acols, q)
-        for pj, terms in g_polys[ei].items():
-            g_all[:, ei, pj] = _eval_terms(terms, acols, q)
-
-    cache = {}
+    # per chunk of fibers: [M | I] -> rank and left null space N; the
+    # constraint rows N G reduced to RREF name the fiber's B-subspace
+    inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
+    ncons = {}  # RREF bytes -> number of B-points satisfying its rows
+    null_keys = set()
+    null_fibers = 0
     total = 0
-    for i in range(na):
-        rank, null = _small_solve(m_all[i].tolist(), q, nl)
-        if not null:
-            ncons = nb
-        else:
-            u = (np.array(null, dtype=np.int32) @ g_all[i]) % q
-            key = _rref_key(u.tolist(), q)
-            if key in cache:
-                ncons = cache[key]
-                stats.cache_hits += 1
-            else:
-                live = u[np.any(u, axis=1)]
-                if live.shape[0] == 0:
-                    ncons = nb
-                else:
-                    z = (live @ pmat.astype(np.int32)) % q
-                    ncons = int(np.count_nonzero(~np.any(z, axis=0)))
-                cache[key] = ncons
-                stats.cache_misses += 1
-        if ncons:
-            total += q ** (nl - rank) * ncons
+    for lo in range(0, na, _FIBER_CHUNK):
+        acols = {v: xa[lo : lo + _FIBER_CHUNK, apos[v]] for v in apos}
+        nf = min(_FIBER_CHUNK, na - lo)
+        aug = np.zeros((nf, ne, nl + ne), dtype=np.int64)
+        aug[:, :, nl:] = np.eye(ne, dtype=np.int64)
+        g = np.zeros((nf, ne, npat), dtype=np.int64)
+        for ei in range(ne):
+            for li, terms in m_polys[ei].items():
+                aug[:, ei, li] = _eval_terms(terms, acols, q)
+            for pj, terms in g_polys[ei].items():
+                g[:, ei, pj] = _eval_terms(terms, acols, q)
+        rank = _gauss_jordan(aug, nl, q, inv)
+        u = aug[:, :, nl:] @ g % q
+        u[np.arange(ne) < rank[:, None]] = 0
+        urank = _gauss_jordan(u, npat, q, inv).tolist()
+        # keys: the nonzero RREF rows, two bytes per entry as q <= MAX_Q
+        u = u.astype(np.uint16)
+        keys = [bytes(rows[:k]) for rows, k in zip(u, urank)]
+        groups = Counter(zip(rank.tolist(), urank, keys))
+        for (r, k, key), count in groups.items():
+            if r < ne:
+                null_keys.add(key)
+                null_fibers += count
+            if key not in ncons:
+                live = np.frombuffer(key, dtype=np.uint16).reshape(k, npat)
+                z = (live.astype(np.float64) @ pmat).astype(np.int64) % q
+                ncons[key] = int(np.count_nonzero(~z.any(axis=0)))
+            total += q ** (nl - r) * count * ncons[key]
+    stats.cache_misses += len(null_keys)
+    stats.cache_hits += null_fibers - len(null_keys)
     return total
 
 
@@ -420,6 +424,7 @@ class CountResult:
 def count_points(X: VarietySpec, b: int, budget: int = DEFAULT_BUDGET) -> CountResult:
     """Exact census count of the height-below-b locus of X over its field."""
     q = X.base_field.p
+    _check_q(q)
     stats = SearchStats()
     t0 = time.monotonic()
     if X.inequations:
@@ -443,6 +448,7 @@ def point_stream(X: VarietySpec, b: int, budget: int = DEFAULT_BUDGET, stats=Non
     """Materialize the points themselves (one representative per orbit for
     projective X).  Meant for fixture-sized instances."""
     q = X.base_field.p
+    _check_q(q)
     if stats is None:
         stats = SearchStats()
     stats.tag("stream")

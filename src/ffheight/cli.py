@@ -72,7 +72,7 @@ def _infer_names(texts):
             if w != "t" and w not in seen:
                 seen.append(w)
     if not seen:
-        raise ParseError("no variables found", 1, 1)
+        raise ParseError("no variables found", "; ".join(texts), 0)
     return tuple(seen)
 
 
@@ -149,9 +149,9 @@ def _cmd_expand(args):
 
 
 def _cmd_census(args):
-    inst = _instance_from_args(args)
     budget = args.budget
     if args.mode == "count":
+        inst = _instance_from_args(args)
         out = []
         for q in args.q:
             res = count_points(inst.variety(q), args.b, budget=budget)
@@ -162,6 +162,7 @@ def _cmd_census(args):
         _human(f"counts at b={args.b}: {dict(zip(args.q, out))}")
         return 0
     if args.mode == "dim":
+        inst = _instance_from_args(args)
         pool = None
         if args.jobs and args.jobs > 1:
             import multiprocessing
@@ -226,7 +227,7 @@ _CLASS_RE = re.compile(r"p=(?P<lam>-?\d+),P=(?P<pt>-?\d+(?::-?\d+)*)(?:,mu=(?P<m
 def _parse_class(text, field):
     m = _CLASS_RE.match(text)
     if not m:
-        raise ParseError(f"bad congruence class {text!r}", 1, 1)
+        raise ParseError(f"bad congruence class {text!r}", text, 0)
     lam = int(m.group("lam")) % field.p
     pt = tuple(int(c) % field.p for c in m.group("pt").split(":"))
     mu = int(m.group("mu")) if m.group("mu") else None
@@ -238,6 +239,8 @@ def _cmd_detmethod(args):
     fld = PrimeField(args.q)
     ring = PolyRing(fld)
     if args.mode == "aux":
+        if not args.f:
+            return _fail("aux needs --f", USAGE_ERROR)
         names = (
             tuple(args.names.split(",")) if args.names else _infer_names([args.f])
         )
@@ -306,7 +309,9 @@ def _cmd_groebner(args):
         eqs, names = S.equations, S.var_names
     else:
         # raw systems must be t-free; expanded systems already are
-        eqs = tuple(_to_field_poly(e, fld) for e in X.equations)
+        eqs = tuple(
+            _to_field_poly(e, fld, text) for e, text in zip(X.equations, inst.equations)
+        )
         names = X.names
     nv = len(names)
     G = groebner(eqs, nvars=nv, field=fld)
@@ -327,18 +332,18 @@ def _cmd_groebner(args):
     g = parse_poly(args.g, names, ring)
     # expansion produces constant-coefficient equations; membership polynomials
     # must live over the same field
-    member, nf = ideal_member(_to_field_poly(g, fld), G)
+    member, nf = ideal_member(_to_field_poly(g, fld, args.g), G)
     _emit({"g": args.g, "member": member, "normal_form": str(nf)})
     _human(f"{args.g} {'in' if member else 'not in'} the ideal")
     return 0
 
 
-def _to_field_poly(g, fld):
+def _to_field_poly(g, fld, text):
     if isinstance(g.ring, PrimeField):
         return g
     bad = [c for c in g.terms.values() if c.deg > 0]
     if bad:
-        raise ParseError("membership polynomial must be t-free", 1, 1)
+        raise ParseError("polynomial must be t-free", text, 0)
     return g.map_coeffs(lambda c: c.coeff(0), fld)
 
 

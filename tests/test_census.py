@@ -2,9 +2,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from ffheight import census, suite
 from ffheight.census import (
+    MAX_Q,
     BudgetExceeded,
     CountResult,
     InstanceSpec,
@@ -216,3 +219,97 @@ def test_random_systems_match_brute_force():
         want = brute_affine_count(X, b)
         assert got == want, (q, b, eqs, got, want)
         checked += 1
+
+
+def test_block_path_over_q_above_256():
+    """Residues above 255 in the fiber systems; the truth is q + 1."""
+    for eq, q in (("y*z - x^2", 257), ("y*z^2 - x^3", 263)):
+        X = variety_from_strs("projective", ["x", "y", "z"], [eq], q)
+        res = count_points(X, 2)
+        assert "blocks" in res.stats.path
+        assert res.count == q + 1, (eq, q, res.count)
+
+
+@pytest.mark.parametrize("eq, q", [("x^2 - 4", 32771), ("x^3 - 8", 40009)])
+def test_census_rejects_q_above_limit(eq, q):
+    # the int16 enumeration once counted these as 1 and 4 (truth 2 and 3)
+    X = variety_from_strs("affine", ["x"], [eq], q)
+    with pytest.raises(ValueError, match=str(MAX_Q)):
+        count_points(X, 1)
+    with pytest.raises(ValueError, match=str(MAX_Q)):
+        point_stream(X, 1)
+
+
+def _block_cases():
+    for d in (2, 3):
+        for b in (1, 2, 3, 4):
+            for q in (3, 5):
+                yield "projective", ("x", "y", "z"), f"y*z^{d - 1} - x^{d}", q, b
+    for b in (1, 2, 3):
+        for q in (5, 7):
+            yield "affine", ("x", "y", "z"), "x*y - z", q, b
+    for inst, b in suite.random_hypersurfaces(random.Random(5), 6):
+        for q in (3, 5):
+            yield "affine", inst.names, inst.equations[0], q, b
+
+
+def test_blocks_match_plain_enumeration(monkeypatch):
+    cases = list(_block_cases())
+    fast, paths = [], set()
+    for ambient, names, eq, q, b in cases:
+        res = count_points(variety_from_strs(ambient, names, [eq], q), b)
+        fast.append((res.count, res.primitive))
+        paths.add(res.stats.path)
+    assert any("blocks" in p for p in paths)
+    monkeypatch.setattr(census, "PLAIN_CUTOFF", math.inf)
+    for (ambient, names, eq, q, b), want in zip(cases, fast):
+        res = count_points(variety_from_strs(ambient, names, [eq], q), b)
+        assert "blocks" not in res.stats.path
+        assert (res.count, res.primitive) == want, (eq, q, b)
+
+
+def test_block_fiber_cache_counts_cubic():
+    X = variety_from_strs("projective", ["x", "y", "z"], ["y*z^2 - x^3"], 5)
+    res = count_points(X, 5)
+    assert (res.count, res.primitive) == (126, 504)
+    assert res.stats.visits == 17740
+    assert (res.stats.cache_hits, res.stats.cache_misses) == (2904, 971)
+
+
+def _rref_mod(rows, q, ncols):
+    """Reference Gauss-Jordan mod q on the first ncols columns of a list of
+    rows, carrying the other columns along: (reduced rows, rank)."""
+    work = [[x % q for x in r] for r in rows]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][c], -1, q)
+        work[rank] = [x * inv % q for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][c]:
+                f = work[i][c]
+                work[i] = [(x - f * y) % q for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return work, rank
+
+
+def test_batched_gauss_jordan_matches_reference():
+    rng = np.random.default_rng(3)
+    for q in (2, 3, 7, 263, 32749):
+        inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
+        for nrows, ncols in ((1, 1), (4, 3), (5, 7), (6, 6)):
+            # low-rank and sparse stacks as well as random ones
+            a = rng.integers(0, q, (40, nrows, ncols))
+            a[:10, :, 1:] = a[:10, :, :1] * rng.integers(0, q, (10, 1, ncols - 1)) % q
+            a[10:20] *= rng.random((10, nrows, ncols)) < 0.3
+            # [M | I] as in the block path: the identity follows the row ops
+            eye = np.broadcast_to(np.eye(nrows, dtype=a.dtype), (40, nrows, nrows))
+            for stack in (a, np.concatenate([a, eye], axis=2)):
+                got = stack.copy()
+                rank = census._gauss_jordan(got, ncols, q, inv)
+                for f in range(len(stack)):
+                    want, r = _rref_mod(stack[f].tolist(), q, ncols)
+                    assert rank[f] == r and got[f].tolist() == want, (q, f)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ffheight import cli
 from ffheight.cli import CONFORMANCE_ERROR, USAGE_ERROR, main
+from ffheight.suite import CheckRow
 
 
 def run(capsys, *argv):
@@ -209,3 +211,37 @@ def test_stderr_is_human_stdout_is_json(capsys):
     # any stderr chatter must not be JSON rows
     for ln in err.splitlines():
         assert not ln.startswith("{")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "count", "--eq", "1 + 2"),
+        ("detmethod", "aux", "--f", "x^2 - y*z", "--q", "5", "--class", "junk"),
+        ("groebner", "member", "--eq", "y - x^2", "--q", "5", "--g", "t*x"),
+    ],
+)
+def test_bad_input_exits_2_with_parse_error(capsys, argv):
+    code, lines, _ = run(capsys, *argv)
+    assert code == USAGE_ERROR
+    assert lines[-1]["error"] and lines[-1]["kind"] == "parse"
+
+
+def test_detmethod_aux_without_f_exits_2(capsys):
+    code, lines, _ = run(capsys, "detmethod", "aux", "--q", "5", "--class", "junk")
+    assert code == USAGE_ERROR
+    assert lines[-1]["error"]
+
+
+def test_census_suite_runs(capsys, monkeypatch):
+    seen = {}
+
+    def fake_suite(qs, bs, budget):
+        seen.update(qs=qs, bs=bs)
+        return [CheckRow("stub", "one check", "1", "1", True)]
+
+    monkeypatch.setattr(cli, "run_example_suite", fake_suite)
+    code, lines, _ = run(capsys, "census", "suite", "--q", "3,5,7", "--b-list", "1,2")
+    assert code == 0
+    assert seen == {"qs": (3, 5, 7), "bs": (1, 2)}
+    assert lines == [CheckRow("stub", "one check", "1", "1", True).to_json()]
