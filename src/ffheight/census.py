@@ -12,9 +12,10 @@ F_q; this module counts its solutions exactly.  Three paths:
   rest into A (coupled to L) and B; each A-assignment (an A-fiber) gives
   a matrix M in L and pattern coefficients G.  The fibers are handled a
   chunk at a time by one batched Gauss-Jordan mod q on the stacked
-  [M | I], which yields every fiber's rank and left null space N; a
-  second batched Gauss-Jordan brings the constraint rows N G to their
-  canonical RREF.  The condition on B is that its pattern vector satisfy
+  [M | I], which yields every fiber's rank and left null space N.  A
+  fiber of full rank puts no condition on B; for the others a second
+  batched Gauss-Jordan brings the constraint rows N G to their canonical
+  RREF.  The condition on B is that its pattern vector satisfy
   those rows, so fibers are grouped by the bytes of the RREF and one
   matrix product against the precomputed pattern table settles each
   distinct RREF.  A fiber of rank r adds q^(|L| - r) solutions per
@@ -243,6 +244,8 @@ def _gauss_jordan(aug, ncols, q, inv):
         right -= f[:, :, None] * prow[:, None, :]
         right %= q
         rank += has
+        if rank.min() == nrows:
+            break
     return rank
 
 
@@ -325,14 +328,23 @@ def _block_count(compiled, nvars, q, budget, stats) -> int:
         nf = min(_FIBER_CHUNK, na - lo)
         aug = np.zeros((nf, ne, nl + ne), dtype=np.int64)
         aug[:, :, nl:] = np.eye(ne, dtype=np.int64)
-        g = np.zeros((nf, ne, npat), dtype=np.int64)
         for ei in range(ne):
             for li, terms in m_polys[ei].items():
                 aug[:, ei, li] = _eval_terms(terms, acols, q)
+        rank = _gauss_jordan(aug, nl, q, inv)
+        # a fiber of full rank ne puts no condition on B
+        sel = np.flatnonzero(rank < ne)
+        if sel.size < nf:
+            total += q ** (nl - ne) * (nf - sel.size) * nb
+        if sel.size == 0:
+            continue
+        rank = rank[sel]
+        acols = {v: col[sel] for v, col in acols.items()}
+        g = np.zeros((sel.size, ne, npat), dtype=np.int64)
+        for ei in range(ne):
             for pj, terms in g_polys[ei].items():
                 g[:, ei, pj] = _eval_terms(terms, acols, q)
-        rank = _gauss_jordan(aug, nl, q, inv)
-        u = aug[:, :, nl:] @ g % q
+        u = aug[sel, :, nl:] @ g % q
         u[np.arange(ne) < rank[:, None]] = 0
         urank = _gauss_jordan(u, npat, q, inv).tolist()
         # keys: the nonzero RREF rows, two bytes per entry as q <= MAX_Q
@@ -340,9 +352,8 @@ def _block_count(compiled, nvars, q, budget, stats) -> int:
         keys = [bytes(rows[:k]) for rows, k in zip(u, urank)]
         groups = Counter(zip(rank.tolist(), urank, keys))
         for (r, k, key), count in groups.items():
-            if r < ne:
-                null_keys.add(key)
-                null_fibers += count
+            null_keys.add(key)
+            null_fibers += count
             if key not in ncons:
                 live = np.frombuffer(key, dtype=np.uint16).reshape(k, npat)
                 z = (live.astype(np.float64) @ pmat).astype(np.int64) % q

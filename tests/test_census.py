@@ -241,28 +241,34 @@ def test_census_rejects_q_above_limit(eq, q):
 
 
 def _block_cases():
+    """(ambient, names, equation, q, b, must take the blocks path)."""
     for d in (2, 3):
         for b in (1, 2, 3, 4):
             for q in (3, 5):
-                yield "projective", ("x", "y", "z"), f"y*z^{d - 1} - x^{d}", q, b
+                yield "projective", ("x", "y", "z"), f"y*z^{d - 1} - x^{d}", q, b, True
     for b in (1, 2, 3):
         for q in (5, 7):
-            yield "affine", ("x", "y", "z"), "x*y - z", q, b
-    for inst, b in suite.random_hypersurfaces(random.Random(5), 6):
+            yield "affine", ("x", "y", "z"), "x*y - z", q, b, True
+    for inst, b in suite.random_hypersurfaces(random.Random(5), 12):
         for q in (3, 5):
-            yield "affine", inst.names, inst.equations[0], q, b
+            yield "affine", inst.names, inst.equations[0], q, b, False
 
 
 def test_blocks_match_plain_enumeration(monkeypatch):
+    # a cutoff of 0 sends every system with a linear block down the blocks
+    # path, whatever its size; infinity sends every system down plain
     cases = list(_block_cases())
-    fast, paths = [], set()
-    for ambient, names, eq, q, b in cases:
+    monkeypatch.setattr(census, "PLAIN_CUTOFF", 0)
+    fast, random_blocks = [], 0
+    for ambient, names, eq, q, b, must in cases:
         res = count_points(variety_from_strs(ambient, names, [eq], q), b)
         fast.append((res.count, res.primitive))
-        paths.add(res.stats.path)
-    assert any("blocks" in p for p in paths)
+        took = "blocks" in res.stats.path
+        assert took or not must, (eq, q, b, res.stats.path)
+        random_blocks += took and not must
+    assert random_blocks >= 12
     monkeypatch.setattr(census, "PLAIN_CUTOFF", math.inf)
-    for (ambient, names, eq, q, b), want in zip(cases, fast):
+    for (ambient, names, eq, q, b, _), want in zip(cases, fast):
         res = count_points(variety_from_strs(ambient, names, [eq], q), b)
         assert "blocks" not in res.stats.path
         assert (res.count, res.primitive) == want, (eq, q, b)
