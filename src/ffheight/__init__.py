@@ -22,7 +22,7 @@ from .detmethod import (
     monomial_basis,
     mult_at,
 )
-from .groebner import GroebnerBasis, groebner, ideal_member, krull_dimension
+from .groebner import GroebnerBasis, ideal_member, krull_dimension
 from .lattices import (
     PolyMatrix,
     ReducedBasis,
@@ -49,7 +49,6 @@ from .varieties import (
     HeightPoint,
     VarietySpec,
     expand,
-    project_from_point,
     variety_from_strs,
 )
 
@@ -87,7 +86,6 @@ __all__ = [
     "dim_estimate",
     "divisibility_exponent",
     "expand",
-    "groebner",
     "ideal_member",
     "kernel_lattice",
     "krull_dimension",
@@ -101,7 +99,6 @@ __all__ = [
     "pell_solutions",
     "plucker_minors",
     "point_stream",
-    "project_from_point",
     "reduce_basis",
     "short_kernel_vector",
     "sqrt_series",

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .parsing import parse_poly, poly_to_str
-from .rings import PrimeField, UniPoly, uni_gcd
+from .rings import uni_content
 from .varieties import (
     AFFINE,
     PROJECTIVE,
@@ -495,13 +495,7 @@ def point_stream(X: VarietySpec, b: int, budget: int = DEFAULT_BUDGET, stats=Non
         arr = arr[(lead == 1) & ~is_zero_row]  # one representative per orbit
         for row in arr.tolist():
             pt = S.to_point(row)
-            g = None
-            for c in pt.coords:
-                if c.is_zero():
-                    continue
-                g = c.monic() if g is None else uni_gcd(g, c)
-                if g.deg == 0:
-                    break
+            g = uni_content(pt.coords)
             if g is not None and g.deg == 0:
                 points.append(pt)
     else:
@@ -649,8 +643,10 @@ def dim_estimate(
 ) -> CensusReport:
     """Counts across primes, slope fit, and the declared-bound verdict."""
     qs = tuple(sorted(qs))
+    if len(set(qs)) != len(qs):
+        raise ValueError(f"repeated primes in {qs}: each prime counts once")
     if len(qs) < 3:
-        raise ValueError("need at least 3 primes for a dimension fit")
+        raise ValueError("need at least 3 distinct primes for a dimension fit")
     payloads = [
         {"instance": inst.to_json(), "b": b, "q": q, "budget": budget} for q in qs
     ]

@@ -261,6 +261,8 @@ def _cmd_detmethod(args):
         )
         return 0
     # val
+    if not args.points:
+        return _fail("val needs --points", USAGE_ERROR)
     pts = []
     for chunk in args.points.split(";"):
         coords = tuple(
@@ -278,6 +280,8 @@ def _cmd_detmethod(args):
 def _cmd_pell(args):
     fld = PrimeField(args.q) if args.q else None
     if args.mode == "solve":
+        if not (args.beta and args.q):
+            return _fail("solve needs --beta and --q", USAGE_ERROR)
         beta = parse_unipoly(args.beta, fld)
         gamma = parse_unipoly(args.gamma, fld)
         inst = PellInstance(beta, gamma)
@@ -300,6 +304,8 @@ def _cmd_pell(args):
 
 
 def _cmd_groebner(args):
+    if args.mode == "member" and not args.g:
+        return _fail("member needs --g", USAGE_ERROR)
     inst = _instance_from_args(args)
     q = args.q[0] if isinstance(args.q, tuple) else args.q
     X = inst.variety(q)
@@ -345,19 +351,6 @@ def _to_field_poly(g, fld, text):
     if bad:
         raise ParseError("polynomial must be t-free", text, 0)
     return g.map_coeffs(lambda c: c.coeff(0), fld)
-
-
-def _cmd_examples(args):
-    rows = run_example_suite(qs=args.q, bs=args.b_list, budget=args.budget)
-    failures = 0
-    for row in rows:
-        _emit(row.to_json())
-        mark = "PASS" if row.ok else "FAIL"
-        _human(f"[{mark}] {row.example}: {row.detail}")
-        if not row.ok:
-            failures += 1
-    _human(f"{len(rows) - failures}/{len(rows)} checks passed")
-    return 0 if failures == 0 else CONFORMANCE_ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +443,6 @@ def build_parser():
     pg.add_argument("--q", type=_parse_qs, default=(5,))
     pg.add_argument("--g", help="member: polynomial to test")
     pg.set_defaults(fn=_cmd_groebner)
-
-    px = sub.add_parser("examples", help="run the worked-example suite")
-    px.add_argument("mode", choices=("run",))
-    px.add_argument("--q", type=_parse_qs, default=(3, 5, 7))
-    px.add_argument("--b-list", type=_parse_ints, default=(1, 2, 3))
-    px.add_argument("--budget", type=int, default=None)
-    px.set_defaults(fn=_cmd_examples)
 
     return top
 

@@ -6,6 +6,9 @@ Once the matrix loses full column rank over K, its kernel holds a form g
 that vanishes on every class point; as soon as the kernel is bigger than
 the space of multiples of the defining equation f, some kernel element is
 coprime to f.  We search the degree M incrementally until that happens.
+The elimination over K (`_IncrementalRREF`) and the clearing of kernel
+vectors to primitive rows over O_K live in `lattices`, which computes
+kernel lattices with the same two steps.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from dataclasses import dataclass, field as dc_field
 from math import comb, factorial, inf
 
 from .census import DEFAULT_BUDGET, point_stream
+from .lattices import _IncrementalRREF, clear_denominators
 from .multipoly import MultiPoly, reduce_mod
-from .rings import PolyRing, RatFunc, UniPoly, uni_lcm
+from .rings import PolyRing, RatFunc, UniPoly
 from .varieties import HeightPoint, VarietySpec, default_names
 
 
@@ -471,96 +475,33 @@ class AuxPolyResult:
         }
 
 
-class _IncrementalRREF:
-    """Gauss-Jordan over K, one row at a time, pivot columns tracked."""
-
-    def __init__(self, width: int, field):
-        self.width = width
-        self.field = field
-        self.rows = {}  # pivot col -> fully reduced row (list of RatFunc)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def add(self, row) -> bool:
-        row = list(row)
-        for col in sorted(self.rows):
-            if not row[col].is_zero():
-                f = row[col]
-                piv = self.rows[col]
-                for j in range(col, self.width):
-                    row[j] = row[j] - f * piv[j]
-        lead = next((j for j in range(self.width) if not row[j].is_zero()), None)
-        if lead is None:
-            return False
-        inv = row[lead].inv()
-        row = [e * inv for e in row]
-        for col, other in self.rows.items():
-            if not other[lead].is_zero():
-                f = other[lead]
-                for j in range(self.width):
-                    other[j] = other[j] - f * row[j]
-        self.rows[lead] = row
-        return True
-
-    def kernel_basis(self):
-        free = [j for j in range(self.width) if j not in self.rows]
-        basis = []
-        for j in free:
-            vec = [RatFunc.from_int(self.field, 0)] * self.width
-            vec[j] = RatFunc.from_int(self.field, 1)
-            for col, row in self.rows.items():
-                vec[col] = -row[j]
-            basis.append(vec)
-        return basis
-
-
 def _kernel_vector_to_poly(vec, basis: MonomialBasis, ring: PolyRing) -> MultiPoly:
-    den = None
-    for e in vec:
-        if e.is_zero():
-            continue
-        den = e.den if den is None else uni_lcm(den, e.den)
-    if den is None:
-        return MultiPoly.zero(ring, basis.nvars)
-    terms = {}
-    for exps, e in zip(basis.monomials, vec):
-        if e.is_zero():
-            continue
-        c = e.num * den.divexact(e.den)
-        terms[exps] = c
-    g = MultiPoly(ring, basis.nvars, terms)
-    return g.primitive_part()
+    return MultiPoly(ring, basis.nvars, zip(basis.monomials, clear_denominators(vec)))
 
 
-def _search_kernel(points_coords, f, d, nvars, ring, m_start, m_max):
-    """Incremental M: first degree whose kernel outgrows f * B[M-d]."""
-    K_field = ring.base
+def _search_kernel(points, d, nvars, ring, m_start, m_max, accept):
+    """Incremental M: the first degree with an accepted kernel element.
+
+    A degree is skipped as soon as the rank reaches |B[M]| - |B[M-d]|: the
+    kernel can then no longer outgrow f * B[M-d].  Otherwise each kernel
+    vector, cleared to a primitive g, goes to accept(g, M, rank, kernel_dim,
+    s_target), which returns the result or None to try the next one.
+    """
     for M in range(m_start, m_max + 1):
         basis = monomial_basis(M, nvars)
-        allowance = basis_size(M - d, nvars)
-        target = len(basis) - allowance
-        rref = _IncrementalRREF(len(basis), K_field)
-        stalled = False
-        for coords in points_coords:
-            row = [RatFunc.from_poly(e) for e in basis.evaluate_row(coords)]
-            rref.add(row)
+        target = len(basis) - basis_size(M - d, nvars)
+        rref = _IncrementalRREF(len(basis), ring.base)
+        for coords in points:
+            rref.add([RatFunc.from_poly(e) for e in basis.evaluate_row(coords)])
             if rref.rank >= target:
-                stalled = True  # kernel can no longer beat f*B[M-d]
                 break
-        if stalled:
-            continue
-        kernel = rref.kernel_basis()
-        cands = []
-        for vec in kernel:
-            g = _kernel_vector_to_poly(vec, basis, ring)
-            if g.is_zero():
-                continue
-            if not f.divides(g):
-                cands.append(g)
-        if cands:
-            return cands, M, basis, rref.rank, len(kernel)
+        else:
+            kernel = rref.kernel_basis()
+            for vec in kernel:
+                g = _kernel_vector_to_poly(vec, basis, ring)
+                res = accept(g, M, rref.rank, len(kernel), target)
+                if res is not None:
+                    return res
     raise DegreeBudgetError(
         f"degree budget exhausted at M = {m_max}: "
         "bug or unsatisfied hypothesis"
@@ -597,24 +538,25 @@ def auxiliary_poly_projective(
         m_max = max(2 * d + 6, d * (b + 2))
         while basis_size(m_max, nvars) - basis_size(m_max - d, nvars) <= len(pts):
             m_max += 1
-    coords = [pt.coords for pt in pts]
-    cands, M, basis, rank, kdim = _search_kernel(
-        coords, f, d, nvars, ring, d, m_max
-    )
-    g = cands[0]
-    for pt in pts:
-        if not _evaluate_okpoly(g, list(pt.coords)).is_zero():
-            raise AssertionError("kernel element fails to vanish on the class")
-    return AuxPolyResult(
-        g=g,
-        M=M,
-        certificate=tuple(pts),
-        coprime=True,
-        vacuous=not pts,
-        rank=rank,
-        kernel_dim=kdim,
-        details={"s_target": len(basis) - basis_size(M - d, nvars)},
-    )
+
+    def accept(g, M, rank, kernel_dim, s_target):
+        if f.divides(g):
+            return None
+        for pt in pts:
+            if not _evaluate_okpoly(g, list(pt.coords)).is_zero():
+                raise AssertionError("kernel element fails to vanish on the class")
+        return AuxPolyResult(
+            g=g,
+            M=M,
+            certificate=tuple(pts),
+            coprime=True,
+            vacuous=not pts,
+            rank=rank,
+            kernel_dim=kernel_dim,
+            details={"s_target": s_target},
+        )
+
+    return _search_kernel([pt.coords for pt in pts], d, nvars, ring, d, m_max, accept)
 
 
 def _constant_point_off(f: MultiPoly, rng, tries=2000):
@@ -720,64 +662,43 @@ def auxiliary_poly_affine(
         while basis_size(m_max, n + 1) - basis_size(m_max - d, n + 1) <= len(lifted):
             m_max += 1
 
-    # the kernel element must stay coprime to f after x_0 -> H, so the
-    # generic projective search runs here with the extra acceptance step
-    for M in range(d, m_max + 1):
-        basis = monomial_basis(M, n + 1)
-        allowance = basis_size(M - d, n + 1)
-        target = len(basis) - allowance
-        rref = _IncrementalRREF(len(basis), fld)
-        stalled = False
-        for coords in lifted:
-            row = [RatFunc.from_poly(e) for e in basis.evaluate_row(coords)]
-            rref.add(row)
-            if rref.rank >= target:
-                stalled = True
-                break
-        if stalled:
-            continue
-        for vec in rref.kernel_basis():
-            G = _kernel_vector_to_poly(vec, basis, ring)
-            if G.is_zero() or F.divides(G):
-                continue
-            dropped = G.substitute_coeff(0, H)
-            gw = MultiPoly(ring, n, {e[1:]: c for e, c in dropped.terms.items()})
-            if gw.is_zero() or fw.divides(gw):
-                continue
-            gw = gw.primitive_part()
-            g = _shift(gw, tuple(fld.neg(c) for c in shift)) if any(shift) else gw
-            if f.divides(g):
-                continue
-            certificate = tuple(
-                HeightPoint(
-                    tuple(
-                        c + UniPoly.const(fld, s)
-                        for c, s in zip(pt.coords, shift)
-                    ),
-                    projective=False,
-                )
-                for pt in pts
-            )
-            for cp in certificate:
-                if not _evaluate_okpoly(g, list(cp.coords)).is_zero():
-                    raise AssertionError(
-                        "dehomogenized g fails to vanish on the class"
-                    )
-            return AuxPolyResult(
-                g=g,
-                M=M,
-                certificate=certificate,
-                coprime=True,
-                vacuous=not pts,
-                rank=rref.rank,
-                kernel_dim=len(basis) - rref.rank,
-                details={
-                    "H": str(H),
-                    "lambda": lam,
-                    "shift": list(shift),
-                    "s_target": target,
-                },
-            )
-    raise DegreeBudgetError(
-        f"degree budget exhausted at M = {m_max}: bug or unsatisfied hypothesis"
+    certificate = tuple(
+        HeightPoint(
+            tuple(c + UniPoly.const(fld, s) for c, s in zip(pt.coords, shift)),
+            projective=False,
+        )
+        for pt in pts
     )
+
+    # the kernel element must stay coprime to f after x_0 -> H
+    def accept(G, M, rank, kernel_dim, s_target):
+        if F.divides(G):
+            return None
+        dropped = G.substitute_coeff(0, H)
+        gw = MultiPoly(ring, n, {e[1:]: c for e, c in dropped.terms.items()})
+        if fw.divides(gw):
+            return None
+        gw = gw.primitive_part()
+        g = _shift(gw, tuple(fld.neg(c) for c in shift)) if any(shift) else gw
+        if f.divides(g):
+            return None
+        for cp in certificate:
+            if not _evaluate_okpoly(g, list(cp.coords)).is_zero():
+                raise AssertionError("dehomogenized g fails to vanish on the class")
+        return AuxPolyResult(
+            g=g,
+            M=M,
+            certificate=certificate,
+            coprime=True,
+            vacuous=not pts,
+            rank=rank,
+            kernel_dim=kernel_dim,
+            details={
+                "H": str(H),
+                "lambda": lam,
+                "shift": list(shift),
+                "s_target": s_target,
+            },
+        )
+
+    return _search_kernel(lifted, d, n + 1, ring, d, m_max, accept)

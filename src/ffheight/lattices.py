@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .multipoly import unipoly_det
 from .parsing import parse_unipoly
-from .rings import NEG_INF, PrimeField, RatFunc, UniPoly, uni_gcd, uni_lcm
+from .rings import NEG_INF, PrimeField, RatFunc, UniPoly, uni_content, uni_lcm
 
 
 @dataclass(frozen=True)
@@ -158,71 +158,70 @@ def lattice_height(M) -> int:
     equals the sum of the successive minima; in general the minima sum
     exceeds it by the gcd degree.
     """
-    g = None
-    top = NEG_INF
-    for det in plucker_minors(M):
-        if det.is_zero():
-            continue
-        top = max(top, det.deg)
-        g = det.monic() if g is None else uni_gcd(g, det)
+    dets = plucker_minors(M)
+    g = uni_content(dets)
     if g is None:
         raise ValueError("rank deficient")
-    return int(top - g.deg)
+    return int(max(det.deg for det in dets) - g.deg)
 
 
-def _rref_kernel(rows):
-    """Kernel basis of a matrix over K, one vector per free column."""
-    fld = rows[0][0].field
-    a = [[RatFunc.from_poly(e) for e in r] for r in rows]
-    m, n = len(a), len(a[0])
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if not a[i][c].is_zero()), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = a[r][c].inv()
-        a[r] = [e * inv for e in a[r]]
-        for i in range(m):
-            if i != r and not a[i][c].is_zero():
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    if r < m:
-        raise ValueError("not full rank")
-    free = [c for c in range(n) if c not in piv_cols]
-    basis = []
-    one = RatFunc.from_int(fld, 1)
-    zero = RatFunc.from_int(fld, 0)
-    for fc in free:
-        v = [zero] * n
-        v[fc] = one
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -a[i][fc]
-        basis.append(v)
-    return basis
+class _IncrementalRREF:
+    """Gauss-Jordan over K, one row at a time, pivot columns tracked."""
+
+    def __init__(self, width: int, field):
+        self.width = width
+        self.field = field
+        self.rows = {}  # pivot col -> fully reduced row (list of RatFunc)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, row) -> bool:
+        row = list(row)
+        for col in sorted(self.rows):
+            if not row[col].is_zero():
+                f = row[col]
+                piv = self.rows[col]
+                for j in range(col, self.width):
+                    row[j] = row[j] - f * piv[j]
+        lead = next((j for j in range(self.width) if not row[j].is_zero()), None)
+        if lead is None:
+            return False
+        inv = row[lead].inv()
+        row = [e * inv for e in row]
+        for col, other in self.rows.items():
+            if not other[lead].is_zero():
+                f = other[lead]
+                for j in range(self.width):
+                    other[j] = other[j] - f * row[j]
+        self.rows[lead] = row
+        return True
+
+    def kernel_basis(self):
+        """One kernel vector per free column, in column order.  The RREF is
+        canonical, so the basis depends only on the row space."""
+        free = [j for j in range(self.width) if j not in self.rows]
+        basis = []
+        for j in free:
+            vec = [RatFunc.from_int(self.field, 0)] * self.width
+            vec[j] = RatFunc.from_int(self.field, 1)
+            for col, row in self.rows.items():
+                vec[col] = -row[j]
+            basis.append(vec)
+        return basis
 
 
-def _clear_row(v):
-    """RatFunc row -> primitive UniPoly row (denominators and content out)."""
-    fld = v[0].num.field
-    den = UniPoly.one(fld)
+def clear_denominators(v):
+    """Nonzero RatFunc row -> primitive UniPoly row: times the lcm of the
+    denominators, then divided by the monic content."""
+    den = None
     for e in v:
         if not e.is_zero():
-            den = uni_lcm(den, e.den)
-    polys = [(e * RatFunc.from_poly(den)).to_poly() for e in v]
-    g = None
-    for p in polys:
-        if p.is_zero():
-            continue
-        g = p.monic() if g is None else uni_gcd(g, p)
-        if g.deg == 0:
-            break
-    if g is not None and g.deg > 0:
+            den = e.den if den is None else uni_lcm(den, e.den)
+    polys = [e.num * den.divexact(e.den) for e in v]
+    g = uni_content(polys)
+    if g.deg > 0:
         polys = [p.divexact(g) for p in polys]
     return polys
 
@@ -281,7 +280,11 @@ def kernel_lattice(A) -> ReducedBasis:
     rows = _as_rows(A)
     if len(rows) >= len(rows[0]):
         raise ValueError("need nrows < ncols")
-    kern = [_clear_row(v) for v in _rref_kernel(rows)]
+    rref = _IncrementalRREF(len(rows[0]), rows[0][0].field)
+    for r in rows:
+        if not rref.add([RatFunc.from_poly(e) for e in r]):
+            raise ValueError("not full rank")
+    kern = [clear_denominators(v) for v in rref.kernel_basis()]
     return reduce_basis(_saturate(kern))
 
 

@@ -7,17 +7,7 @@ order everywhere is graded reverse lexicographic.
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .rings import (
-    NEG_INF,
-    FracField,
-    PolyRing,
-    PrimeField,
-    RatFunc,
-    UniPoly,
-    valuation_at,
-)
+from .rings import NEG_INF, FracField, PolyRing, PrimeField, RatFunc, UniPoly, uni_content
 
 
 def grevlex_key(exps):
@@ -324,14 +314,7 @@ class MultiPoly:
             raise TypeError("content needs O_K coefficients")
         if not self.terms:
             raise ValueError("content of the zero polynomial")
-        from .rings import uni_gcd
-
-        g = None
-        for c in self.terms.values():
-            g = c.monic() if g is None else uni_gcd(g, c)
-            if g.deg == 0:
-                break
-        return g
+        return uni_content(self.terms.values())
 
     def primitive_part(self):
         g = self.content()
@@ -449,97 +432,8 @@ def reduce_mod(f: MultiPoly, p: UniPoly) -> MultiPoly:
     return f.map_coeffs(lambda c: c.eval_at(lam), base)
 
 
-def coeffs_in_var(f: MultiPoly, i: int):
-    """f as a polynomial in variable i: list of MultiPolys free of i, low degree first."""
-    d = f.degree_in(i)
-    out = [MultiPoly.zero(f.ring, f.nvars) for _ in range(d + 1)]
-    for e, c in f.terms.items():
-        ne = list(e)
-        k = ne[i]
-        ne[i] = 0
-        out[k] = out[k] + MultiPoly(f.ring, f.nvars, {tuple(ne): c})
-    return out
-
-
-def bareiss_det(rows, ring, nvars):
-    """Fraction-free determinant of a square MultiPoly matrix."""
-    n = len(rows)
-    if n == 0:
-        return MultiPoly.const(ring, nvars, 1)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = MultiPoly.const(ring, nvars, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(ring, nvars)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = num.divexact(prev)
-            m[i][k] = MultiPoly.zero(ring, nvars)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def resultant(f: MultiPoly, g: MultiPoly, i: int) -> MultiPoly:
-    """Resultant of f and g with respect to variable i (Sylvester determinant).
-
-    The result does not involve variable i.  Errors when either input is zero
-    or both have degree 0 in the variable.
-    """
-    f._compat(g)
-    if f.is_zero() or g.is_zero():
-        raise ValueError("resultant with zero polynomial")
-    fc = coeffs_in_var(f, i)
-    gc = coeffs_in_var(g, i)
-    m, n = len(fc) - 1, len(gc) - 1
-    if m == 0 and n == 0:
-        raise ValueError("both inputs are free of the variable")
-    if m == 0:
-        return fc[0] ** n
-    if n == 0:
-        return gc[0] ** m
-    size = m + n
-    zero = MultiPoly.zero(f.ring, f.nvars)
-    rows = []
-    frow = list(reversed(fc))  # descending in x_i
-    grow = list(reversed(gc))
-    for k in range(n):
-        rows.append([zero] * k + frow + [zero] * (size - m - 1 - k))
-    for k in range(m):
-        rows.append([zero] * k + grow + [zero] * (size - n - 1 - k))
-    return bareiss_det(rows, f.ring, f.nvars)
-
-
-def minors_gcd_valuation(rows, s: int, p: UniPoly):
-    """v_p of the gcd of all s x s minors of a matrix of UniPolys (small matrices).
-
-    Direct enumeration; used as a cross-check oracle for the local Smith
-    computation in the determinant-method module.
-    """
-    ncols = len(rows[0])
-    best = None
-    for row_idx in combinations(range(len(rows)), s):
-        for col_idx in combinations(range(ncols), s):
-            sub = [[rows[i][j] for j in col_idx] for i in row_idx]
-            det = unipoly_det(sub)
-            if det.is_zero():
-                continue
-            v = valuation_at(det, p)
-            best = v if best is None else min(best, v)
-            if best == 0:
-                return 0
-    return best  # None when every minor vanishes
-
-
 def unipoly_det(m):
+    """Fraction-free (Bareiss) determinant of a square UniPoly matrix."""
     n = len(m)
     field = m[0][0].field
     m = [list(r) for r in m]

@@ -301,15 +301,42 @@ def uni_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
     return (a * b).divexact(uni_gcd(a, b)).monic()
 
 
+def uni_content(polys):
+    """Monic gcd of the nonzero polynomials; None when all of them are zero."""
+    g = None
+    for c in polys:
+        if c.is_zero():
+            continue
+        g = c.monic() if g is None else uni_gcd(g, c)
+        if g.deg == 0:
+            break
+    return g
+
+
 def _check_prime_poly(p: UniPoly):
+    """Ben-Or: p of degree d >= 2 is irreducible iff gcd(t^(q^i) - t, p) = 1
+    for every i <= d/2, the powers taken mod p.  Degree 1 is always prime."""
     d = p.deg
     if d is NEG_INF or d < 1:
         raise ValueError("prime must have degree >= 1")
-    if d in (2, 3):
-        # an irreducibility check is cheap here: no roots
-        for x in p.field.elements():
-            if p.eval_at(x) == 0:
-                raise ValueError(f"{p} is reducible (root at t={x})")
+    if d == 1:
+        return
+    t = UniPoly.gen(p.field)
+    x = t
+    for i in range(1, d // 2 + 1):
+        x = _pow_mod(x, p.field.p, p)
+        if uni_gcd(x - t, p).deg > 0:
+            raise ValueError(f"{p} is reducible (a factor of degree dividing {i})")
+
+
+def _pow_mod(a: UniPoly, e: int, m: UniPoly) -> UniPoly:
+    result = UniPoly.one(a.field)
+    while e:
+        if e & 1:
+            result = result * a % m
+        a = a * a % m
+        e >>= 1
+    return result
 
 
 def valuation_at(a: UniPoly, p: UniPoly) -> int:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .multipoly import MultiPoly, resultant
+from .multipoly import MultiPoly
 from .parsing import parse_poly, poly_to_str
-from .rings import PolyRing, PrimeField, UniPoly, uni_gcd
+from .rings import PolyRing, PrimeField, UniPoly, uni_content
 
 AFFINE = "affine"
 PROJECTIVE = "projective"
@@ -113,13 +113,9 @@ class HeightPoint:
         """Divide out the monic gcd of the coordinates (projective points)."""
         if not self.projective:
             return self
-        g = None
-        for c in self.coords:
-            if c.is_zero():
-                continue
-            g = c.monic() if g is None else uni_gcd(g, c)
-            if g.deg == 0:
-                return self
+        g = uni_content(self.coords)
+        if g.deg == 0:
+            return self
         return HeightPoint(tuple(c.divexact(g) for c in self.coords), True)
 
     def height(self) -> int:
@@ -202,17 +198,8 @@ class ExpandedSystem:
             if all(g.evaluate(values) == 0 for g in group):
                 return False
         if self.projective:
-            coords = self.coord_polys(values)
-            if all(c.is_zero() for c in coords):
-                return False
-            g = None
-            for c in coords:
-                if c.is_zero():
-                    continue
-                g = c.monic() if g is None else uni_gcd(g, c)
-                if g.deg == 0:
-                    break
-            if g.deg != 0:
+            g = uni_content(self.coord_polys(values))
+            if g is None or g.deg != 0:
                 return False
         return True
 
@@ -302,111 +289,3 @@ def on_variety(X: VarietySpec, pt: HeightPoint) -> bool:
         if g.evaluate(vals).is_zero():
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# linear projection away from a constant point
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PointMap:
-    """x |-> (x_i - (c_i/c_drop) x_drop)_{i != drop}, a constant linear map.
-
-    Heights never increase under apply() because the multipliers are
-    constants.
-    """
-
-    center: tuple
-    drop: int
-    field: PrimeField
-
-    def apply(self, pt: HeightPoint) -> HeightPoint:
-        c = self.center
-        lam = [self.field.div(ci, c[self.drop]) for ci in c]
-        xd = pt.coords[self.drop]
-        out = []
-        for i, xi in enumerate(pt.coords):
-            if i == self.drop:
-                continue
-            out.append(xi - xd.scale(lam[i]))
-        return HeightPoint(tuple(out), pt.projective).primitive()
-
-
-def project_from_point(X: VarietySpec, center, drop=None):
-    """Project a projective variety away from a constant point not on it.
-
-    Returns (image VarietySpec, PointMap).  The image equation is obtained by
-    eliminating the dropped coordinate with pairwise resultants and keeping a
-    generator of least degree; callers should verify the image degree on
-    sample points and retry with a fresh center when the resultants degenerate.
-    A hypersurface input is returned unchanged.
-    """
-    if X.ambient != PROJECTIVE:
-        raise ValueError("projection needs a projective variety")
-    fld = X.base_field
-    center = tuple(c % fld.p for c in center)
-    if len(center) != X.ncoords:
-        raise ValueError("center has wrong coordinate count")
-    cpt = HeightPoint(tuple(UniPoly.const(fld, c) for c in center), True)
-    if on_variety(VarietySpec(X.ambient, X.names, X.equations), cpt):
-        raise ValueError("center lies on the variety")
-
-    if drop is None:
-        drop = max(i for i, c in enumerate(center) if c != 0)
-    if center[drop] == 0:
-        raise ValueError("center must be nonzero in the dropped coordinate")
-
-    pm = PointMap(center=center, drop=drop, field=fld)
-    if len(X.equations) <= 1:
-        return X, pm
-
-    ring = X.ring
-    n = X.ncoords
-    # fiber over y: x_i = y_i + (c_i/c_drop) s, with s in the dropped slot
-    lam = [fld.div(ci, center[drop]) for ci in center]
-    sub = []
-    for i in range(n):
-        v = MultiPoly.var(ring, n, i)
-        if i != drop:
-            v = v + MultiPoly.var(ring, n, drop).scale(UniPoly.const(fld, lam[i]))
-        sub.append(v)
-    lifted = [f.compose(sub) for f in X.equations]
-
-    candidates = []
-    free = [g for g in lifted if g.degree_in(drop) == 0 and not g.is_zero()]
-    candidates.extend(free)
-    dep = [g for g in lifted if g.degree_in(drop) > 0]
-    for a in range(len(dep)):
-        for bidx in range(a + 1, len(dep)):
-            r = resultant(dep[a], dep[bidx], drop)
-            if not r.is_zero():
-                candidates.append(r)
-    if not candidates:
-        raise ValueError("projection degenerated; try another center")
-
-    best = min(candidates, key=lambda g: g.total_degree())
-    # re-index into P^{n-2} coordinates (drop the eliminated slot)
-    keep = [i for i in range(n) if i != drop]
-    new_terms = {}
-    for e, c in best.terms.items():
-        new_terms[tuple(e[i] for i in keep)] = c
-    img_eq = MultiPoly(ring, n - 1, new_terms)
-    img_eq = img_eq.primitive_part()
-    img_names = tuple(X.names[i] for i in keep)
-    image = VarietySpec(PROJECTIVE, img_names, (img_eq,))
-    return image, pm
-
-
-def find_projection_center(X: VarietySpec, rng, tries: int = 500):
-    """Random constant point off X with nonzero last coordinate."""
-    fld = X.base_field
-    n = X.ncoords
-    for _ in range(tries):
-        c = tuple(rng.randrange(fld.p) for _ in range(n - 1)) + (
-            1 + rng.randrange(fld.p - 1),
-        )
-        cpt = HeightPoint(tuple(UniPoly.const(fld, x) for x in c), True)
-        if not on_variety(VarietySpec(X.ambient, X.names, X.equations), cpt):
-            return c
-    raise ValueError("no constant center found off the variety")

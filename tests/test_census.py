@@ -163,6 +163,14 @@ def test_dim_estimate_needs_three_primes():
         dim_estimate(inst, 2, (3, 5))
 
 
+def test_dim_estimate_rejects_repeated_primes():
+    inst = InstanceSpec("x", "affine", ("x", "y"), ("y - x^2",), dim=1)
+    with pytest.raises(ValueError, match="repeated"):
+        dim_estimate(inst, 1, (3, 3, 3))
+    with pytest.raises(ValueError, match="repeated"):
+        dim_estimate(inst, 1, (3, 5, 7, 5))
+
+
 def test_dim_estimate_json_schema():
     inst = InstanceSpec("parabola", "affine", ("x", "y"), ("y - x^2",), dim=1)
     rep = dim_estimate(inst, 2, (3, 5, 7))

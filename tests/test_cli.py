@@ -233,6 +233,21 @@ def test_detmethod_aux_without_f_exits_2(capsys):
     assert lines[-1]["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("groebner", "member", "--eq", "y-x^2", "--names", "x,y", "--q", "5"),
+        ("pell", "solve", "--q", "5"),
+        ("detmethod", "val", "--q", "5"),
+    ],
+    ids=["groebner-member-without-g", "pell-solve-without-beta", "detmethod-val-without-points"],
+)
+def test_missing_mode_option_exits_2(capsys, argv):
+    code, lines, _ = run(capsys, *argv)
+    assert code == USAGE_ERROR
+    assert lines[-1]["error"] and "needs --" in lines[-1]["reason"]
+
+
 def test_census_suite_runs(capsys, monkeypatch):
     seen = {}
 

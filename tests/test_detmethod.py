@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,9 +18,9 @@ from ffheight.detmethod import (
     mult_at,
     poly_height,
 )
-from ffheight.multipoly import MultiPoly, minors_gcd_valuation
+from ffheight.multipoly import unipoly_det
 from ffheight.parsing import parse_poly, parse_unipoly
-from ffheight.rings import PolyRing, PrimeField, UniPoly
+from ffheight.rings import PolyRing, PrimeField, UniPoly, valuation_at
 from ffheight.varieties import HeightPoint, on_variety, variety_from_strs
 
 
@@ -142,6 +143,46 @@ def test_congruence_class_projective_scaling():
         )
 
 
+def minors_gcd_valuation(rows, s: int, p: UniPoly):
+    """v_p of the gcd of all s x s minors of a matrix of UniPolys (small matrices).
+
+    Direct enumeration; used as a cross-check oracle for the local Smith
+    computation in the determinant-method module.
+    """
+    ncols = len(rows[0])
+    best = None
+    for row_idx in combinations(range(len(rows)), s):
+        for col_idx in combinations(range(ncols), s):
+            sub = [[rows[i][j] for j in col_idx] for i in row_idx]
+            det = unipoly_det(sub)
+            if det.is_zero():
+                continue
+            v = valuation_at(det, p)
+            best = v if best is None else min(best, v)
+            if best == 0:
+                return 0
+    return best  # None when every minor vanishes
+
+
+def test_minors_gcd_valuation_matches_direct():
+    # rows over O_K, 2x2 minors, valuation at t
+    t = UniPoly.gen(F5)
+    one = UniPoly.one(F5)
+    rows = [
+        [t, one],
+        [t * t, t],
+        [t, t * t],
+    ]
+    # row pairs (0,1), (0,2), (1,2)
+    minors = [
+        t * t - one * (t * t),
+        t * (t * t) - one * t,
+        (t * t) * (t * t) - t * t,
+    ]
+    vals = [valuation_at(m, t) for m in minors if not m.is_zero()]
+    assert minors_gcd_valuation(rows, 2, t) == min(vals)
+
+
 def brute_exponent(points, basis, prime):
     """Independent oracle: valuation of the gcd of all s x s minors."""
     rows = build_eval_matrix(points, basis).entries
@@ -230,7 +271,17 @@ def test_aux_poly_projective_conic():
     f = P("x^2 - y*z", ["x", "y", "z"])
     datum = CongruenceDatum(T("t - 1"), (2, 1, 4))
     out = auxiliary_poly_projective(f, 2, [datum])
-    assert out.M == 2
+    # the first accepted kernel element, pinned
+    assert out.to_json(["x", "y", "z"]) == {
+        "g": "2*x^2 + x*y",
+        "M": 2,
+        "points_captured": 1,
+        "coprime_to_f": True,
+        "vacuous": False,
+        "rank": 1,
+        "kernel_dim": 5,
+        "s_target": 5,
+    }
     assert out.g.is_homogeneous()
     assert not f.divides(out.g)
     assert not out.vacuous
@@ -282,6 +333,19 @@ def test_aux_poly_affine_with_class():
     f = P("y - x^3", ["x", "y"])
     datum = CongruenceDatum(T("t"), (1, 1))
     out = auxiliary_poly_affine(f, 2, [datum], rng=random.Random(1))
+    assert out.to_json(["x", "y"]) == {
+        "g": "x + 4",
+        "M": 3,
+        "points_captured": 1,
+        "coprime_to_f": True,
+        "vacuous": False,
+        "rank": 1,
+        "kernel_dim": 9,
+        "H": "t + 4",
+        "lambda": 1,
+        "shift": [0, 1],
+        "s_target": 9,
+    }
     assert not f.divides(out.g)
     from ffheight.detmethod import _evaluate_okpoly
 

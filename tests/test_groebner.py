@@ -128,3 +128,12 @@ def test_rejects_poly_ring_coefficients():
     f = parse_poly("t*x - y", ["x", "y"], PolyRing(F5))
     with pytest.raises(TypeError):
         groebner([f])
+
+
+def test_package_attribute_is_the_module():
+    import types
+
+    import ffheight.groebner as gb
+
+    assert isinstance(gb, types.ModuleType)
+    assert callable(gb.groebner)

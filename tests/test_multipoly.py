@@ -4,15 +4,11 @@ import pytest
 
 from ffheight.multipoly import (
     MultiPoly,
-    bareiss_det,
-    coeffs_in_var,
     grevlex_key,
-    minors_gcd_valuation,
     monomial_divides,
     reduce_mod,
-    resultant,
 )
-from ffheight.rings import FracField, PolyRing, PrimeField, UniPoly, valuation_at
+from ffheight.rings import FracField, PolyRing, PrimeField, UniPoly
 
 
 F5 = PrimeField(5)
@@ -153,53 +149,6 @@ def test_reduce_mod_is_evaluation_at_prime():
     assert fbar.ring == F5
     assert fbar.coeff_of((1, 0)) == 4  # t^2 at t=2
     assert fbar.constant_coeff() == 3
-
-
-def test_coeffs_in_var():
-    x = MultiPoly.var(OK5, 2, 0)
-    y = MultiPoly.var(OK5, 2, 1)
-    f = x * x * y + y + MultiPoly.const(OK5, 2, OK5.from_int(3))
-    cs = coeffs_in_var(f, 0)
-    assert len(cs) == 3
-    assert cs[1].is_zero()
-    assert cs[2] == y
-
-
-def test_bareiss_det_matches_cofactor_2x2():
-    rng = random.Random(8)
-    for _ in range(25):
-        m = [[rand_poly(rng, K5, 2, nterms=2, maxdeg=2) for _ in range(2)] for _ in range(2)]
-        det = bareiss_det(m, K5, 2)
-        assert det == m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
-def test_resultant_detects_common_factor():
-    x = MultiPoly.var(K5, 2, 0)
-    y = MultiPoly.var(K5, 2, 1)
-    common = x + y
-    f = common * (x - y)
-    g = common * (x + x + y)
-    assert resultant(f, g, 0).is_zero()
-    assert not resultant(x - y, x + y, 0).is_zero()
-
-
-def test_minors_gcd_valuation_matches_direct():
-    # rows over O_K, 2x2 minors, valuation at t
-    t = UniPoly.gen(F5)
-    one = UniPoly.one(F5)
-    rows = [
-        [t, one],
-        [t * t, t],
-        [t, t * t],
-    ]
-    # row pairs (0,1), (0,2), (1,2)
-    minors = [
-        t * t - one * (t * t),
-        t * (t * t) - one * t,
-        (t * t) * (t * t) - t * t,
-    ]
-    vals = [valuation_at(m, t) for m in minors if not m.is_zero()]
-    assert minors_gcd_valuation(rows, 2, t) == min(vals)
 
 
 def test_to_str_names():

@@ -102,6 +102,16 @@ def test_valuation_rejects_reducible_prime():
         valuation_at(poly([1]), poly([0, 0, 1]))  # t^2 has a root at 0
 
 
+def test_valuation_checks_irreducibility_in_every_degree():
+    F3 = PrimeField(3)
+    q2 = poly([1, 0, 1], F3)  # t^2 + 1, irreducible over F_3
+    with pytest.raises(ValueError, match="reducible"):
+        valuation_at(q2, q2 * q2)  # a quartic without roots, still reducible
+    quartic = poly([2, 0, 0, 2, 1], F3)  # t^4 + 2t^3 + 2, irreducible over F_3
+    assert valuation_at(quartic * quartic * q2, quartic) == 2
+    assert valuation_at(q2, quartic) == 0
+
+
 def test_ratfunc_normalization():
     t = poly([0, 1])
     r = RatFunc(t * t, t)

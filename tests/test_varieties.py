@@ -9,10 +9,8 @@ from ffheight.varieties import (
     VarietySpec,
     default_names,
     expand,
-    find_projection_center,
     on_variety,
     point_from_coeffs,
-    project_from_point,
     variety_from_strs,
 )
 
@@ -117,33 +115,3 @@ def test_point_stream_agrees_with_brute_force():
             if y.deg is not None and (y.is_zero() or y.deg < b):
                 want.append(str(HeightPoint((x, y))))
     assert got == sorted(want)
-
-
-def test_projection_hypersurface_is_identity():
-    X = variety_from_strs("projective", ["x", "y", "z"], ["x^2 - y*z"], 5)
-    rng = random.Random(12)
-    center = find_projection_center(X, rng)
-    img, pmap = project_from_point(X, center)
-    assert img is X
-    for pt in point_stream(X, 2):
-        q = pmap.apply(pt)
-        assert q.height() <= pt.height()
-
-
-def test_projection_drops_a_coordinate():
-    # conic x curve in P^3, two equations
-    X = variety_from_strs(
-        "projective",
-        ["x", "y", "z", "w"],
-        ["x*z - y^2", "y*w - z^2"],
-        5,
-    )
-    rng = random.Random(13)
-    center = find_projection_center(X, rng)
-    img, pmap = project_from_point(X, center)
-    assert img.ncoords == 3
-    for pt in point_stream(X, 2):
-        q = pmap.apply(pt)
-        assert q.height() <= pt.height()
-        assert len(q.coords) == 3
-        assert on_variety(img, q)
