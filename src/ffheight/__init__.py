@@ -17,7 +17,6 @@ from .detmethod import (
     MonomialBasis,
     auxiliary_poly_affine,
     auxiliary_poly_projective,
-    coordinate_normalize,
     divisibility_exponent,
     monomial_basis,
     mult_at,
@@ -81,7 +80,6 @@ __all__ = [
     "auxiliary_poly_affine",
     "auxiliary_poly_projective",
     "continued_fraction_unit",
-    "coordinate_normalize",
     "count_points",
     "dim_estimate",
     "divisibility_exponent",

@@ -1,7 +1,10 @@
 """Exact counts of bounded-height points over F_q and dimension fitting.
 
 The coefficient expansion of a variety at bound b is a plain system over
-F_q; this module counts its solutions exactly.  Three paths:
+F_q; this module counts its solutions exactly.  Every path starts from
+`_compile_system`, which compiles the equations for vectorized evaluation,
+drops the zero constants and reports a nonzero constant, which leaves no
+solutions.  Three paths:
 
 * plain: breadth-first enumeration over the coefficient variables in a
   greedy order, pruning with every equation as soon as its support is
@@ -35,21 +38,12 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .parsing import parse_poly, poly_to_str
 from .rings import uni_content
-from .varieties import (
-    AFFINE,
-    PROJECTIVE,
-    ExpandedSystem,
-    HeightPoint,
-    VarietySpec,
-    expand,
-    variety_from_strs,
-)
+from .varieties import PROJECTIVE, VarietySpec, expand, variety_from_strs
 
 DEFAULT_BUDGET = 10**9
 PLAIN_CUTOFF = 200_000
@@ -96,6 +90,19 @@ def _compile(eq) -> tuple:
     return terms, support
 
 
+def _compile_system(equations, q):
+    """The compiled nonconstant equations, or None when a nonzero constant
+    equation leaves no solutions."""
+    compiled = []
+    for eq in equations:
+        terms, support = _compile(eq)
+        if support:
+            compiled.append((terms, support))
+        elif sum(c for c, _ in terms) % q:
+            return None
+    return compiled
+
+
 def _eval_terms(terms, cols, q):
     """Evaluate a compiled term list on column vectors, mod q."""
     n = None
@@ -138,29 +145,19 @@ def _greedy_order(compiled, pool):
     return order
 
 
-def _bfs_enumerate(compiled, pool, q, budget, stats, include_free):
-    """All assignments of the pool satisfying the compiled equations.
+def _bfs_enumerate(compiled, pool, q, budget, stats):
+    """All assignments of the pool satisfying the compiled (nonconstant)
+    equations, whose supports lie in the pool.
 
-    Returns (array rows x len(order), var -> column, multiplier).  Free
-    variables (not in any support) are enumerated when include_free, else
-    folded into the multiplier.
+    Returns (array rows x len(order), var -> column).  The pool's variables
+    outside every support are enumerated last.
     """
-    for terms, support in compiled:
-        if not support:
-            if sum(c for c, _ in terms) % q:
-                return np.empty((0, 0), dtype=np.int16), {}, 1
-    active = set()
-    for _, support in compiled:
-        active |= support
-    active &= set(pool)
-    free = sorted(set(pool) - active)
-    order = _greedy_order(compiled, active)
-    if include_free:
-        order = order + free
-    done_at = {}
-    for i, (_, support) in enumerate(compiled):
-        if support and support <= set(order):
-            done_at[i] = max(order.index(v) for v in support)
+    active = set().union(*(support for _, support in compiled))
+    order = _greedy_order(compiled, active) + sorted(set(pool) - active)
+    done_at = {
+        i: max(order.index(v) for v in support)
+        for i, (_, support) in enumerate(compiled)
+    }
     arr = np.empty((1, 0), dtype=np.int16)
     pos = {}
     base = np.arange(q, dtype=np.int16).reshape(-1, 1)
@@ -180,9 +177,8 @@ def _bfs_enumerate(compiled, pool, q, budget, stats, include_free):
             vals = _eval_terms(terms, {u: arr[:, pos[u]] for u in pos}, q)
             arr = arr[vals == 0]
         if arr.shape[0] == 0:
-            return arr, pos, 1
-    mult = 1 if include_free else q ** len(free)
-    return arr, pos, mult
+            break
+    return arr, pos
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +245,9 @@ def _gauss_jordan(aug, ncols, q, inv):
     return rank
 
 
-def _block_count(compiled, nvars, q, budget, stats) -> int:
+def _block_count(compiled, block, q, budget, stats) -> int:
     """Count solutions by eliminating the linear block fiberwise."""
-    active = set()
-    for _, s in compiled:
-        active |= s
-    block = _linear_block(compiled, active)
-    if not block:
-        raise ValueError("no linear block")
+    active = set().union(*(s for _, s in compiled))
     a_vars = set()
     for terms, _ in compiled:
         for _, ve in terms:
@@ -275,8 +266,8 @@ def _block_count(compiled, nvars, q, budget, stats) -> int:
         else:
             system.append((terms, support))
 
-    xb, bpos, _ = _bfs_enumerate(b_only, b_list, q, budget, stats, include_free=True)
-    xa, apos, _ = _bfs_enumerate(a_only, a_list, q, budget, stats, include_free=True)
+    xb, bpos = _bfs_enumerate(b_only, b_list, q, budget, stats)
+    xa, apos = _bfs_enumerate(a_only, a_list, q, budget, stats)
     na, nb = xa.shape[0], xb.shape[0]
     if na == 0 or (b_list and nb == 0):
         return 0
@@ -370,29 +361,21 @@ def _block_count(compiled, nvars, q, budget, stats) -> int:
 
 
 def _core_count(equations, nvars, q, budget, stats) -> int:
-    compiled = [_compile(eq) for eq in equations]
-    for terms, support in compiled:
-        if not support and sum(c for c, _ in terms) % q:
-            return 0
-    compiled = [cs for cs in compiled if cs[1]]
-    active = set()
-    for _, s in compiled:
-        active |= s
-    inactive = nvars - len(active)
-    mult = q**inactive
+    compiled = _compile_system(equations, q)
+    if compiled is None:
+        return 0
+    active = set().union(*(s for _, s in compiled))
+    mult = q ** (nvars - len(active))
     if not compiled:
         return mult
-    if q ** len(active) <= PLAIN_CUTOFF:
-        stats.tag("plain")
-        arr, _, m2 = _bfs_enumerate(compiled, sorted(active), q, budget, stats, False)
-        return arr.shape[0] * m2 * mult
-    block = _linear_block(compiled, active)
-    if block:
-        stats.tag("blocks")
-        return _block_count(compiled, nvars, q, budget, stats) * mult
+    if q ** len(active) > PLAIN_CUTOFF:
+        block = _linear_block(compiled, active)
+        if block:
+            stats.tag("blocks")
+            return _block_count(compiled, block, q, budget, stats) * mult
     stats.tag("plain")
-    arr, _, m2 = _bfs_enumerate(compiled, sorted(active), q, budget, stats, False)
-    return arr.shape[0] * m2 * mult
+    arr, _ = _bfs_enumerate(compiled, sorted(active), q, budget, stats)
+    return arr.shape[0] * mult
 
 
 def _projective_counts(X: VarietySpec, b, q, budget, stats):
@@ -401,6 +384,9 @@ def _projective_counts(X: VarietySpec, b, q, budget, stats):
     for m in range(1, b + 1):
         S = expand(X, m)
         full = _core_count(S.equations, S.nvars, q, budget, stats)
+        if not full:
+            # not even the zero vector: a nonzero constant equation
+            return 0, 0
         prim = full - 1
         for k in range(1, m):
             prim -= q**k * pr[m - k]
@@ -464,14 +450,10 @@ def point_stream(X: VarietySpec, b: int, budget: int = DEFAULT_BUDGET, stats=Non
         stats = SearchStats()
     stats.tag("stream")
     S = expand(X, b)
-    compiled = [_compile(eq) for eq in S.equations]
-    for terms, support in compiled:
-        if not support and sum(c for c, _ in terms) % q:
-            return []
-    compiled = [cs for cs in compiled if cs[1]]
-    arr, pos, _ = _bfs_enumerate(
-        compiled, list(range(S.nvars)), q, budget, stats, include_free=True
-    )
+    compiled = _compile_system(S.equations, q)
+    if compiled is None:
+        return []
+    arr, pos = _bfs_enumerate(compiled, range(S.nvars), q, budget, stats)
     if arr.shape[0] == 0:
         return []
     cols = {v: arr[:, pos[v]] for v in range(S.nvars)}
@@ -479,8 +461,7 @@ def point_stream(X: VarietySpec, b: int, budget: int = DEFAULT_BUDGET, stats=Non
     for group in S.open_groups:
         any_nonzero = np.zeros(arr.shape[0], dtype=bool)
         for g in group:
-            gterms, gsupp = _compile(g)
-            any_nonzero |= _eval_terms(gterms, cols, q) != 0
+            any_nonzero |= _eval_terms(_compile(g)[0], cols, q) != 0
         keep &= any_nonzero
     arr = arr[keep]
     # back to natural variable order
@@ -553,18 +534,6 @@ class InstanceSpec:
             dim=obj.get("m"),
             degree=obj.get("d"),
             note=obj.get("note", ""),
-        )
-
-    @classmethod
-    def from_variety(cls, name, X: VarietySpec, dim=None, degree=None):
-        return cls(
-            name=name,
-            ambient=X.ambient,
-            names=X.names,
-            equations=tuple(poly_to_str(f, X.names) for f in X.equations),
-            inequations=tuple(poly_to_str(g, X.names) for g in X.inequations),
-            dim=dim,
-            degree=degree,
         )
 
 
@@ -670,45 +639,3 @@ def dim_estimate(
         conforms=conforms,
         results=tuple(results),
     )
-
-
-def sz_recursion_check(
-    inst: InstanceSpec, b: int, qs, coord: int = 0, budget: int = DEFAULT_BUDGET
-):
-    """Fiber the census over one coordinate and fit the largest fiber.
-
-    The induction behind the affine dimension bound says each fiber of a
-    coordinate projection is a bounded-height locus of a variety of one
-    dimension less, so the largest fiber should fit to at most (m-1)*b.
-    """
-    if inst.ambient != AFFINE:
-        raise ValueError("fiber check is for affine instances")
-    per_q = []
-    max_fibers = []
-    for q in qs:
-        X = inst.variety(q)
-        pts = point_stream(X, b, budget=budget)
-        fibers = {}
-        for pt in pts:
-            key = tuple(pt.coords[coord].coeffs)
-            fibers[key] = fibers.get(key, 0) + 1
-        biggest = max(fibers.values()) if fibers else 0
-        per_q.append(
-            {"q": q, "points": len(pts), "fibers": len(fibers), "max_fiber": biggest}
-        )
-        max_fibers.append(biggest)
-    fit = _fit_dimension(list(qs), max_fibers)
-    bound = None if inst.dim is None else (inst.dim - 1) * b
-    ok = None
-    if bound is not None and fit["dim"] is not None:
-        ok = fit["dim"] <= bound
-    return {
-        "instance": inst.name,
-        "b": b,
-        "coord": coord,
-        "per_q": per_q,
-        "fiber_dim": fit["dim"],
-        "fiber_dim_stable": fit["stable"],
-        "bound": bound,
-        "conforms": ok,
-    }

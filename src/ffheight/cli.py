@@ -41,7 +41,7 @@ from .pell import (
 )
 from .rings import PolyRing, PrimeField, UniPoly
 from .suite import run_example_suite
-from .varieties import HeightPoint, VarietySpec, expand, variety_from_strs
+from .varieties import HeightPoint, expand
 
 USAGE_ERROR = 2
 CONFORMANCE_ERROR = 1
@@ -131,14 +131,7 @@ def _matrix_from_arg(text, q) -> PolyMatrix:
 
 
 def _cmd_expand(args):
-    names = (
-        tuple(args.names.split(","))
-        if args.names
-        else _infer_names(args.eq + (args.ineq or []))
-    )
-    X = variety_from_strs(
-        args.ambient, names, tuple(args.eq), args.q, tuple(args.ineq or ())
-    )
+    X = _instance_from_args(args).variety(args.q)
     S = expand(X, args.b)
     _emit(S.to_json())
     _human(
@@ -307,9 +300,8 @@ def _cmd_groebner(args):
     if args.mode == "member" and not args.g:
         return _fail("member needs --g", USAGE_ERROR)
     inst = _instance_from_args(args)
-    q = args.q[0] if isinstance(args.q, tuple) else args.q
-    X = inst.variety(q)
-    fld = PrimeField(q)
+    X = inst.variety(args.q)
+    fld = PrimeField(args.q)
     if args.b:
         S = expand(X, args.b)
         eqs, names = S.equations, S.var_names
@@ -440,7 +432,7 @@ def build_parser():
     pg.add_argument("--names")
     pg.add_argument("--ineq", action="append")
     pg.add_argument("--b", type=int, default=0, help="expand at this bound first")
-    pg.add_argument("--q", type=_parse_qs, default=(5,))
+    pg.add_argument("--q", type=int, default=5)
     pg.add_argument("--g", help="member: polynomial to test")
     pg.set_defaults(fn=_cmd_groebner)
 

@@ -94,13 +94,14 @@ def basis_size(degree: int, nvars: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _recentre(f: MultiPoly, point) -> MultiPoly:
-    shifted = [
+def _shift(f: MultiPoly, consts) -> MultiPoly:
+    """f(x_0 + c_0, ..., x_n + c_n)."""
+    vals = [
         MultiPoly.var(f.ring, f.nvars, i)
-        + MultiPoly.const(f.ring, f.nvars, point[i])
+        + MultiPoly.const(f.ring, f.nvars, consts[i])
         for i in range(f.nvars)
     ]
-    return f.compose(shifted)
+    return f.compose(vals)
 
 
 def mult_at(f: MultiPoly, point, prime: UniPoly | None = None) -> int:
@@ -130,7 +131,7 @@ def mult_at(f: MultiPoly, point, prime: UniPoly | None = None) -> int:
         point = tuple(c for i, c in enumerate(point) if i != chart)
     if f.evaluate(list(point)) != 0:
         raise ValueError("point not on variety")
-    g = _recentre(f, point)
+    g = _shift(f, point)
     return min(sum(e) for e in g.terms)
 
 
@@ -169,11 +170,15 @@ class CongruenceDatum:
         return CongruenceDatum(self.prime, self.point, mu)
 
 
-def _match_projective(red, target, p):
-    """Residue tuples agree up to F_q^x scaling."""
+def _in_class(pt: HeightPoint, lam: int, target, p: int) -> bool:
+    """Does pt reduce at t = lam to the residue point target, up to F_q^x
+    for projective points."""
+    red = pt.reduce_at(lam)
+    if not pt.projective:
+        return tuple(c % p for c in red) == tuple(c % p for c in target)
     i = next((k for k, c in enumerate(red) if c), None)
     j = next((k for k, c in enumerate(target) if c), None)
-    if i is None or j is None or i != j:
+    if i is None or i != j:
         return False
     s = pow(red[i], p - 2, p) * target[i] % p
     return all(c * s % p == d % p for c, d in zip(red, target))
@@ -183,21 +188,11 @@ def congruence_class(X: VarietySpec, b: int, data, budget=DEFAULT_BUDGET):
     """Bounded-height points of X whose reductions hit every datum."""
     pts = point_stream(X, b, budget=budget)
     p = X.base_field.p
-    keep = []
-    for pt in pts:
-        ok = True
-        for datum in data:
-            red = pt.reduce_at(datum.residue)
-            if X.ambient == "projective":
-                if not _match_projective(red, datum.point, p):
-                    ok = False
-                    break
-            elif tuple(c % p for c in red) != tuple(c % p for c in datum.point):
-                ok = False
-                break
-        if ok:
-            keep.append(pt)
-    return keep
+    return [
+        pt
+        for pt in pts
+        if all(_in_class(pt, dm.residue, dm.point, p) for dm in data)
+    ]
 
 
 @dataclass(frozen=True)
@@ -310,16 +305,8 @@ def divisibility_exponent(
     if residue_point is not None:
         p = prime.field.p
         lam = _lambda_of(prime)
-        for pt in points:
-            red = pt.reduce_at(lam)
-            proj = getattr(pt, "projective", False)
-            same = (
-                _match_projective(red, residue_point, p)
-                if proj
-                else tuple(c % p for c in red) == tuple(c % p for c in residue_point)
-            )
-            if not same:
-                raise ValueError("point lies outside the congruence class")
+        if not all(_in_class(pt, lam, residue_point, p) for pt in points):
+            raise ValueError("point lies outside the congruence class")
     mat = build_eval_matrix(points, basis)
     pivots = _local_smith_valuations(mat.entries, prime)
     rank = len(pivots)
@@ -339,111 +326,6 @@ def divisibility_exponent(
         certified=certified,
         main_term=main,
     )
-
-
-# ---------------------------------------------------------------------------
-# coordinate normalization
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShearRecord:
-    shear: tuple  # constants a_i: x_i -> x_i + a_i * x_last
-    inverse: tuple
-
-    def to_json(self):
-        return {"shear": list(self.shear), "inverse": list(self.inverse)}
-
-
-def _apply_shear(f: MultiPoly, consts) -> MultiPoly:
-    n = f.nvars
-    last = MultiPoly.var(f.ring, n, n - 1)
-    values = []
-    for i in range(n - 1):
-        v = MultiPoly.var(f.ring, n, i)
-        if consts[i]:
-            v = v + last.scale(UniPoly.const(f.ring.base, consts[i]))
-        values.append(v)
-    values.append(last)
-    return f.compose(values)
-
-
-def poly_height(f: MultiPoly) -> int:
-    """Largest coefficient degree (0 for constant-coefficient forms)."""
-    if f.is_zero():
-        raise ValueError("height of the zero polynomial")
-    return max(max(c.deg, 0) for c in f.terms.values())
-
-
-def coordinate_normalize(f: MultiPoly, rng=None, tries: int = 500):
-    """Shear so the last-variable power has a coefficient of full height.
-
-    The new coefficient of x_last^d equals f evaluated at the shear point
-    (a_0, ..., a_{n-1}, 1); we look for constants where that evaluation has
-    degree h(f).  h and the point set of the variety are both preserved.
-    """
-    if not f.is_homogeneous():
-        raise ValueError("normalization expects a homogeneous input")
-    if not isinstance(f.ring, PolyRing):
-        raise TypeError("O_K coefficients required")
-    ring = f.ring
-    fld = ring.base
-    n = f.nvars
-    d = f.total_degree()
-    h = poly_height(f)
-    top = tuple([0] * (n - 1) + [d])
-    cur = f.coeff_of(top)
-    if not cur.is_zero() and cur.deg == h:
-        ident = ShearRecord(shear=(0,) * (n - 1), inverse=(0,) * (n - 1))
-        return f, ident
-    rng = rng or random.Random(0)
-
-    def attempt(consts):
-        vals = [UniPoly.const(fld, c) for c in consts] + [UniPoly.one(fld)]
-        img = _evaluate_okpoly(f, vals)
-        return (not img.is_zero()) and img.deg == h
-
-    found = None
-    if fld.p ** (n - 1) <= 4096:
-        import itertools
-
-        for consts in itertools.product(range(fld.p), repeat=n - 1):
-            if attempt(consts):
-                found = consts
-                break
-    else:
-        for _ in range(tries):
-            consts = tuple(rng.randrange(fld.p) for _ in range(n - 1))
-            if attempt(consts):
-                found = consts
-                break
-    if found is None:
-        raise ValueError(
-            "no constant point attains the height: retry over a larger field"
-        )
-    g = _apply_shear(f, found)
-    rec = ShearRecord(
-        shear=found, inverse=tuple(fld.neg(c) for c in found)
-    )
-    return g, rec
-
-
-def _evaluate_okpoly(f: MultiPoly, vals) -> UniPoly:
-    """Exact evaluation of an O_K-coefficient polynomial at UniPoly values."""
-    fld = f.ring.base
-    acc = UniPoly.zero(fld)
-    pows = {}
-    for e, c in f.terms.items():
-        term = c
-        for i, k in enumerate(e):
-            if not k:
-                continue
-            key = (i, k)
-            if key not in pows:
-                pows[key] = vals[i] ** k
-            term = term * pows[key]
-        acc = acc + term
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -479,15 +361,21 @@ def _kernel_vector_to_poly(vec, basis: MonomialBasis, ring: PolyRing) -> MultiPo
     return MultiPoly(ring, basis.nvars, zip(basis.monomials, clear_denominators(vec)))
 
 
-def _search_kernel(points, d, nvars, ring, m_start, m_max, accept):
-    """Incremental M: the first degree with an accepted kernel element.
+def _search_kernel(points, d, nvars, ring, b, m_max, accept):
+    """Incremental M from d: the first degree with an accepted kernel element.
 
     A degree is skipped as soon as the rank reaches |B[M]| - |B[M-d]|: the
     kernel can then no longer outgrow f * B[M-d].  Otherwise each kernel
     vector, cleared to a primitive g, goes to accept(g, M, rank, kernel_dim,
     s_target), which returns the result or None to try the next one.
     """
-    for M in range(m_start, m_max + 1):
+    if m_max is None:
+        # rank never exceeds the number of points, so the search is
+        # guaranteed to close once the restricted monomial count passes it
+        m_max = max(2 * d + 6, d * (b + 2))
+        while basis_size(m_max, nvars) - basis_size(m_max - d, nvars) <= len(points):
+            m_max += 1
+    for M in range(d, m_max + 1):
         basis = monomial_basis(M, nvars)
         target = len(basis) - basis_size(M - d, nvars)
         rref = _IncrementalRREF(len(basis), ring.base)
@@ -532,18 +420,12 @@ def auxiliary_poly_projective(
     data = tuple(datum.resolved(f) for datum in data)
     X = VarietySpec("projective", default_names("projective", nvars - 1), (f,))
     pts = congruence_class(X, b, data, budget=budget)
-    if m_max is None:
-        # rank never exceeds the class size, so the search is guaranteed to
-        # close once the restricted monomial count passes it
-        m_max = max(2 * d + 6, d * (b + 2))
-        while basis_size(m_max, nvars) - basis_size(m_max - d, nvars) <= len(pts):
-            m_max += 1
 
     def accept(g, M, rank, kernel_dim, s_target):
         if f.divides(g):
             return None
         for pt in pts:
-            if not _evaluate_okpoly(g, list(pt.coords)).is_zero():
+            if not g.evaluate(list(pt.coords)).is_zero():
                 raise AssertionError("kernel element fails to vanish on the class")
         return AuxPolyResult(
             g=g,
@@ -556,7 +438,7 @@ def auxiliary_poly_projective(
             details={"s_target": s_target},
         )
 
-    return _search_kernel([pt.coords for pt in pts], d, nvars, ring, d, m_max, accept)
+    return _search_kernel([pt.coords for pt in pts], d, nvars, ring, b, m_max, accept)
 
 
 def _constant_point_off(f: MultiPoly, rng, tries=2000):
@@ -567,24 +449,15 @@ def _constant_point_off(f: MultiPoly, rng, tries=2000):
 
         for consts in itertools.product(range(fld.p), repeat=n):
             vals = [UniPoly.const(fld, c) for c in consts]
-            if not _evaluate_okpoly(f, vals).is_zero():
+            if not f.evaluate(vals).is_zero():
                 return consts
     else:
         for _ in range(tries):
             consts = tuple(rng.randrange(fld.p) for _ in range(n))
             vals = [UniPoly.const(fld, c) for c in consts]
-            if not _evaluate_okpoly(f, vals).is_zero():
+            if not f.evaluate(vals).is_zero():
                 return consts
     raise ValueError("no constant point off the variety over this field")
-
-
-def _shift(f: MultiPoly, consts) -> MultiPoly:
-    vals = [
-        MultiPoly.var(f.ring, f.nvars, i)
-        + MultiPoly.const(f.ring, f.nvars, consts[i])
-        for i in range(f.nvars)
-    ]
-    return f.compose(vals)
 
 
 def _homogenize_with(f: MultiPoly, H: UniPoly) -> MultiPoly:
@@ -657,10 +530,6 @@ def auxiliary_poly_affine(
     Xw = VarietySpec("affine", default_names("affine", n), (fw,))
     pts = congruence_class(Xw, b, data_w, budget=budget)
     lifted = [(H,) + pt.coords for pt in pts]
-    if m_max is None:
-        m_max = max(2 * d + 6, d * (b + 2))
-        while basis_size(m_max, n + 1) - basis_size(m_max - d, n + 1) <= len(lifted):
-            m_max += 1
 
     certificate = tuple(
         HeightPoint(
@@ -683,7 +552,7 @@ def auxiliary_poly_affine(
         if f.divides(g):
             return None
         for cp in certificate:
-            if not _evaluate_okpoly(g, list(cp.coords)).is_zero():
+            if not g.evaluate(list(cp.coords)).is_zero():
                 raise AssertionError("dehomogenized g fails to vanish on the class")
         return AuxPolyResult(
             g=g,
@@ -701,4 +570,4 @@ def auxiliary_poly_affine(
             },
         )
 
-    return _search_kernel(lifted, d, n + 1, ring, d, m_max, accept)
+    return _search_kernel(lifted, d, n + 1, ring, b, m_max, accept)

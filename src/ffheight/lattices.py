@@ -28,10 +28,6 @@ class PolyMatrix:
             raise ValueError("ragged rows")
 
     @classmethod
-    def from_rows(cls, rows):
-        return cls(tuple(tuple(r) for r in rows))
-
-    @classmethod
     def from_strs(cls, rows, q: int):
         fld = PrimeField(q)
         return cls(tuple(tuple(parse_unipoly(s, fld) for s in r) for r in rows))
@@ -85,16 +81,6 @@ class ReducedBasis:
 
     def height(self) -> int:
         return sum(self.minima)
-
-    def combination(self, lams):
-        """sum lam_i v_i as a plain row; lams are UniPolys."""
-        fld = self.vectors[0][0].field
-        n = len(self.vectors[0])
-        out = [UniPoly.zero(fld)] * n
-        for lam, v in zip(lams, self.vectors):
-            for j in range(n):
-                out[j] = out[j] + v[j] * lam
-        return out
 
     def to_json(self):
         return {

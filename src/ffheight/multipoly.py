@@ -176,15 +176,6 @@ class MultiPoly:
             return -1
         return max(e[i] for e in self.terms)
 
-    def support(self):
-        """Indices of variables actually appearing."""
-        s = set()
-        for e in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    s.add(i)
-        return s
-
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
@@ -238,11 +229,18 @@ class MultiPoly:
                 acc = (acc + v) % p
             return acc
         acc = ring.zero
+        pows = {}  # (variable, exponent) -> vals[variable]^exponent
         for e, c in self.terms.items():
             v = c
-            for x, k in zip(vals, e):
-                for _ in range(k):
-                    v = ring.mul(v, x)
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                if (i, k) not in pows:
+                    x = vals[i]
+                    for _ in range(k - 1):
+                        x = ring.mul(x, vals[i])
+                    pows[i, k] = x
+                v = ring.mul(v, pows[i, k])
             acc = ring.add(acc, v)
         return acc
 

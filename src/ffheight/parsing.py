@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .multipoly import MultiPoly
-from .rings import FracField, PolyRing, PrimeField, UniPoly
+from .rings import FracField, PolyRing, UniPoly
 
 
 class ParseError(ValueError):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .census import point_stream
 from .multipoly import MultiPoly
-from .rings import PolyRing, PrimeField, UniPoly
+from .rings import PolyRing, PrimeField, UniPoly, is_prime
 from .varieties import VarietySpec
 
 
@@ -235,10 +235,10 @@ def continued_fraction_unit(beta: UniPoly):
     raise RuntimeError("continued fraction did not close within the guard")
 
 
-def _norm_one_unit(beta: UniPoly):
-    """w = (u + v*sqrt(beta))^2 / (u^2 - beta v^2): multiplying by w
-    preserves every norm value exactly."""
-    u, v = continued_fraction_unit(beta)
+def _norm_one_unit(beta: UniPoly, unit):
+    """w = (u + v*sqrt(beta))^2 / (u^2 - beta v^2) for the fundamental unit
+    (u, v): multiplying by w preserves every norm value exactly."""
+    u, v = unit
     eps = (u * u - beta * v * v).coeff(0)
     inv = u.field.inv(eps)
     big_u = (u * u + beta * v * v).scale(inv)
@@ -255,7 +255,7 @@ def unit_orbit(inst: PellInstance, seed, b: int, guard: int = 400, w=None):
     """All sign variants of seed * w^k with height <= b."""
     beta = inst.beta
     if w is None:
-        w = _norm_one_unit(beta)
+        w = _norm_one_unit(beta, continued_fraction_unit(beta))
     wbar = (w[0], -w[1])
     found = set()
 
@@ -334,7 +334,7 @@ def pell_solutions(
         sols.add((sx, sy))
     unit = continued_fraction_unit(inst.beta)
     if cross_check and sols:
-        w = _norm_one_unit(inst.beta)
+        w = _norm_one_unit(inst.beta, unit)
         for seed in list(sols):
             orbit = unit_orbit(inst, seed, b, w=w)
             for cand in orbit:
@@ -415,19 +415,10 @@ def pell_family(n: int, q: int):
     return tuple(sorted(sols, key=_sort_key))
 
 
-def _small_primes(limit):
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, int(limit**0.5) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-    return [i for i in range(3, limit + 1) if sieve[i]]
-
-
 def find_family_prime(n: int, qmax: int = 200) -> int:
     """Smallest odd prime q > n for which all n base solutions exist."""
-    for q in _small_primes(qmax):
-        if q <= n:
+    for q in range(max(3, n + 1), qmax + 1):
+        if not is_prime(q):
             continue
         fld = PrimeField(q)
         if all(_factor_solution(fld, i) is not None for i in range(1, n + 1)):

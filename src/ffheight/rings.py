@@ -47,9 +47,6 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
 
@@ -63,11 +60,6 @@ class PrimeField:
 
     def div(self, a: int, b: int) -> int:
         return (a * self.inv(b)) % self.p
-
-    divexact = div
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
 
     def is_zero(self, a: int) -> bool:
         return a % self.p == 0
@@ -84,9 +76,6 @@ class PrimeField:
             if r * r % self.p == a:
                 return r
         return None
-
-    def elements(self):
-        return range(self.p)
 
     def fmt(self, a: int) -> str:
         return str(a % self.p)
@@ -147,9 +136,6 @@ class UniPoly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __add__(self, other):
         if not isinstance(other, UniPoly):
@@ -389,14 +375,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_poly(self) -> bool:
-        return self.den.deg == 0
-
-    def to_poly(self) -> UniPoly:
-        if not self.is_poly():
-            raise ValueError(f"{self} is not a polynomial")
-        return self.num
-
     def __add__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
@@ -481,9 +459,6 @@ class PolyRing:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -492,9 +467,6 @@ class PolyRing:
 
     def is_zero(self, a) -> bool:
         return a.is_zero()
-
-    def divexact(self, a, b):
-        return a.divexact(b)
 
     def fmt(self, a) -> str:
         return str(a)
@@ -544,9 +516,6 @@ class FracField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -555,9 +524,6 @@ class FracField:
 
     def is_zero(self, a) -> bool:
         return a.is_zero()
-
-    def divexact(self, a, b):
-        return a / b
 
     def fmt(self, a) -> str:
         return str(a)

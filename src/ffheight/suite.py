@@ -140,42 +140,26 @@ def curve_instances():
     return out
 
 
-def _check_affine_curve(rows, d, qs, bs, budget):
-    inst = InstanceSpec(
-        name=f"y=x^{d}",
-        ambient="affine",
-        names=("x", "y"),
-        equations=(f"y - x^{d}",),
-        inequations=(),
-        dim=1,
-        degree=d,
-    )
+def _label(inst):
+    """The row label of a curve_instances() fixture: its equation."""
+    return inst.name.rsplit(" ", 1)[-1]
+
+
+def _check_affine_curve(rows, inst, qs, bs, budget):
     for b in bs:
         for q in qs:
-            want = q ** math.ceil(b / d)
+            want = q ** math.ceil(b / inst.degree)
             res = count_points(inst.variety(q), b, budget=budget)
-            rows.append(
-                _row(inst.name, f"count b={b} q={q}", want, res.count)
-            )
+            rows.append(_row(_label(inst), f"count b={b} q={q}", want, res.count))
 
 
-def _check_projective_curve(rows, d, qs, bs, budget):
-    lhs = "y*z" if d == 2 else f"y*z^{d - 1}"
-    inst = InstanceSpec(
-        name=f"{lhs}=x^{d}",
-        ambient="projective",
-        names=("x", "y", "z"),
-        equations=(f"{lhs} - x^{d}",),
-        inequations=(),
-        dim=1,
-        degree=d,
-    )
+def _check_projective_curve(rows, inst, qs, bs, budget):
     for b in bs:
         rep = dim_estimate(inst, b, qs, budget=budget)
-        want = 2 * math.ceil(b / d) - 1
+        want = 2 * math.ceil(b / inst.degree) - 1
         rows.append(
             _row(
-                inst.name,
+                _label(inst),
                 f"fitted dim b={b}",
                 f"{want} (stable)",
                 f"{rep.fit['dim']} ({'stable' if rep.fit['stable'] else 'unstable'})",
@@ -183,27 +167,16 @@ def _check_projective_curve(rows, d, qs, bs, budget):
         )
 
 
-def _check_graph_surface(rows, qs, bs, budget):
-    inst = InstanceSpec(
-        name="xy=z",
-        ambient="affine",
-        names=("x", "y", "z"),
-        equations=("x*y - z",),
-        inequations=(),
-        dim=2,
-        degree=2,
-    )
+def _check_graph_surface(rows, inst, qs, bs, budget):
     for b in bs:
         rep = dim_estimate(inst, b, qs, budget=budget)
-        rows.append(
-            _row(inst.name, f"fitted dim b={b}", b + 1, rep.fit["dim"])
-        )
+        rows.append(_row(_label(inst), f"fitted dim b={b}", b + 1, rep.fit["dim"]))
         qmax = max(qs)
         n_at = rep.counts[rep.qs.index(qmax)]
         margin = abs(n_at / qmax ** (b + 1) - b) / b
         rows.append(
             _row(
-                inst.name,
+                _label(inst),
                 f"leading constant b={b} q={qmax}",
                 "within 25% of b",
                 "within 25% of b" if margin <= 0.25 else f"off by {margin:.0%}",
@@ -211,20 +184,18 @@ def _check_graph_surface(rows, qs, bs, budget):
         )
 
 
-def _check_nonreduced_cone(rows, q, bs):
+def _check_nonreduced_cone(rows, inst, q, bs):
+    X = inst.variety(q)
     for b in bs:
-        X = variety_from_strs("projective", ("x", "y", "z"), ("t*x^2 - y*z",), q)
         S = expand(X, b)
         G = groebner(S.equations)
         top = f"x{b - 1}"
-        names = S.var_names
-        ring = G.gens[0].ring
-        xvar = parse_poly(top, names, ring)
+        xvar = parse_poly(top, S.var_names, G.gens[0].ring)
         inside, _ = ideal_member(xvar * xvar, G)
         outside, _ = ideal_member(xvar, G)
         rows.append(
             _row(
-                "t*x^2=y*z",
+                _label(inst),
                 f"b={b}: {top}^2 in I, {top} not in I",
                 "True/False",
                 f"{inside}/{outside}",
@@ -315,12 +286,13 @@ def run_example_suite(qs=(3, 5, 7), bs=(1, 2, 3), budget=None, include_pell=True
 
     budget = budget or DEFAULT_BUDGET
     rows = []
-    for d in (2, 3):
-        _check_affine_curve(rows, d, qs, bs, budget)
-    for d in (2, 3):
-        _check_projective_curve(rows, d, qs, [b for b in bs if b <= 3], budget)
-    _check_graph_surface(rows, (5, 7, 11), [b for b in bs if b >= 2], budget)
-    _check_nonreduced_cone(rows, 5, [b for b in bs if b <= 3])
+    affine2, affine3, proj2, proj3, graph, cone = curve_instances()
+    for inst in (affine2, affine3):
+        _check_affine_curve(rows, inst, qs, bs, budget)
+    for inst in (proj2, proj3):
+        _check_projective_curve(rows, inst, qs, [b for b in bs if b <= 3], budget)
+    _check_graph_surface(rows, graph, (5, 7, 11), [b for b in bs if b >= 2], budget)
+    _check_nonreduced_cone(rows, cone, 5, [b for b in bs if b <= 3])
     if include_pell:
         _check_pell(rows, budget)
     _check_spots(rows, budget)

@@ -19,7 +19,6 @@ from ffheight.detmethod import (
     divisibility_exponent,
     monomial_basis,
     mult_at,
-    _evaluate_okpoly,
     _exponents,
 )
 from ffheight.groebner import groebner, ideal_member, krull_dimension
@@ -283,7 +282,7 @@ def test_criterion_06b_auxiliary_polynomials():
     def check(out, f, pts, d, b, ell):
         assert not f.divides(out.g), "g must avoid the ideal of f"
         for pt in pts:
-            assert _evaluate_okpoly(out.g, list(pt.coords)).is_zero()
+            assert out.g.evaluate(list(pt.coords)).is_zero()
         cap = 50 * (d * d * b + d**3 * ell)
         assert out.M <= cap, (out.M, cap)
 

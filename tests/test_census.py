@@ -14,7 +14,6 @@ from ffheight.census import (
     count_points,
     dim_estimate,
     point_stream,
-    sz_recursion_check,
 )
 from ffheight.rings import PrimeField, UniPoly
 from ffheight.varieties import HeightPoint, on_variety, variety_from_strs
@@ -178,14 +177,6 @@ def test_dim_estimate_json_schema():
     for key in ("instance", "b", "qs", "counts", "dim", "stable", "conforms", "runs"):
         assert key in js
     assert js["runs"][0]["q"] == 3
-
-
-def test_sz_recursion_check_curve():
-    inst = InstanceSpec("parabola", "affine", ("x", "y"), ("y - x^2",), dim=1)
-    out = sz_recursion_check(inst, 2, (3, 5, 7))
-    # fibers over x are single points, dimension 0
-    assert out["fiber_dim"] == 0
-    assert out["conforms"] is True
 
 
 def test_count_result_json():

@@ -260,3 +260,11 @@ def test_census_suite_runs(capsys, monkeypatch):
     assert code == 0
     assert seen == {"qs": (3, 5, 7), "bs": (1, 2)}
     assert lines == [CheckRow("stub", "one check", "1", "1", True).to_json()]
+
+
+def test_groebner_takes_one_prime(capsys):
+    code, lines, _ = run(
+        capsys, "groebner", "dim", "--eq", "x^2 - y", "--names", "x,y", "--q", "3,5"
+    )
+    assert code == USAGE_ERROR
+    assert lines == []

@@ -12,11 +12,9 @@ from ffheight.detmethod import (
     basis_size,
     build_eval_matrix,
     congruence_class,
-    coordinate_normalize,
     divisibility_exponent,
     monomial_basis,
     mult_at,
-    poly_height,
 )
 from ffheight.multipoly import unipoly_det
 from ffheight.parsing import parse_poly, parse_unipoly
@@ -241,32 +239,6 @@ def test_divisibility_main_term():
     assert rep.main_term == pytest.approx(3**2 / 2)
 
 
-def test_poly_height():
-    f = P("t^2*x^2 + x*y", ["x", "y"])
-    assert poly_height(f) == 2
-    assert poly_height(P("x + y", ["x", "y"])) == 0
-
-
-def test_coordinate_normalize_attains_height():
-    f = P("t^2*x^2 + x*y", ["x", "y"])
-    g, rec = coordinate_normalize(f)
-    d = f.total_degree()
-    top = g.coeff_of((0, d))
-    assert top.deg == poly_height(f)
-    assert poly_height(g) == poly_height(f)
-    # the shear is invertible: applying the inverse returns f
-    from ffheight.detmethod import _apply_shear
-
-    assert _apply_shear(g, rec.inverse) == f
-
-
-def test_coordinate_normalize_identity_fast_path():
-    f = P("t*y^2 + x^2", ["x", "y"])
-    g, rec = coordinate_normalize(f)
-    assert g == f
-    assert rec.shear == (0,)
-
-
 def test_aux_poly_projective_conic():
     f = P("x^2 - y*z", ["x", "y", "z"])
     datum = CongruenceDatum(T("t - 1"), (2, 1, 4))
@@ -286,9 +258,7 @@ def test_aux_poly_projective_conic():
     assert not f.divides(out.g)
     assert not out.vacuous
     for pt in out.certificate:
-        from ffheight.detmethod import _evaluate_okpoly
-
-        assert _evaluate_okpoly(out.g, list(pt.coords)).is_zero()
+        assert out.g.evaluate(list(pt.coords)).is_zero()
 
 
 def test_aux_poly_projective_vacuous_class():
@@ -322,11 +292,10 @@ def test_aux_poly_affine_parabola():
     H = T(out.details["H"]) if isinstance(out.details["H"], str) else out.details["H"]
     # g vanishes on every height < 3 point of the parabola
     from ffheight.census import point_stream
-    from ffheight.detmethod import _evaluate_okpoly
 
     X = variety_from_strs("affine", ["x", "y"], ["y - x^2"], 5)
     for pt in point_stream(X, 3):
-        assert _evaluate_okpoly(out.g, list(pt.coords)).is_zero()
+        assert out.g.evaluate(list(pt.coords)).is_zero()
 
 
 def test_aux_poly_affine_with_class():
@@ -347,13 +316,11 @@ def test_aux_poly_affine_with_class():
         "s_target": 9,
     }
     assert not f.divides(out.g)
-    from ffheight.detmethod import _evaluate_okpoly
-
     X = variety_from_strs("affine", ["x", "y"], ["y - x^3"], 5)
     cls = congruence_class(X, 2, [datum])
     assert cls
     for pt in cls:
-        assert _evaluate_okpoly(out.g, list(pt.coords)).is_zero()
+        assert out.g.evaluate(list(pt.coords)).is_zero()
 
 
 def test_aux_poly_json():

@@ -13,11 +13,35 @@ from ffheight.suite import (
 )
 
 
+TRIMMED_SUITE_LABELS = [
+    *[("y=x^2", f"count b={b} q={q}") for b in (1, 2) for q in (3, 5, 7)],
+    *[("y=x^3", f"count b={b} q={q}") for b in (1, 2) for q in (3, 5, 7)],
+    ("y*z=x^2", "fitted dim b=1"),
+    ("y*z=x^2", "fitted dim b=2"),
+    ("y*z^2=x^3", "fitted dim b=1"),
+    ("y*z^2=x^3", "fitted dim b=2"),
+    ("xy=z", "fitted dim b=2"),
+    ("xy=z", "leading constant b=2 q=11"),
+    ("t*x^2=y*z", "b=1: x0^2 in I, x0 not in I"),
+    ("t*x^2=y*z", "b=2: x1^2 in I, x1 not in I"),
+    ("spot: y=x^3 deep", "count b=7 q=3"),
+    ("spot: y=x^3 deep", "count b=7 q=5"),
+    *[
+        ("spot: sextic threefold section", f"b=1 q={q}: N/q^2 <= 7")
+        for q in (3, 5, 7, 11)
+    ],
+    *[
+        ("spot: sextic surface minus line plane", f"q={q}: count stalls at b=1,2")
+        for q in (3, 5, 7)
+    ],
+]
+
+
 def test_trimmed_suite_all_green():
     rows = run_example_suite(qs=(3, 5, 7), bs=(1, 2), include_pell=False)
     bad = [r for r in rows if not r.ok]
     assert not bad, [f"{r.example}: {r.detail}" for r in bad]
-    assert len(rows) >= 20
+    assert [(r.example, r.detail) for r in rows] == TRIMMED_SUITE_LABELS
 
 
 def test_check_row_json():
