@@ -6,9 +6,11 @@ Once the matrix loses full column rank over K, its kernel holds a form g
 that vanishes on every class point; as soon as the kernel is bigger than
 the space of multiples of the defining equation f, some kernel element is
 coprime to f.  We search the degree M incrementally until that happens.
-The elimination over K (`_IncrementalRREF`) and the clearing of kernel
-vectors to primitive rows over O_K live in `lattices`, which computes
-kernel lattices with the same two steps.
+Every entry stays a polynomial.  The elimination (`_IncrementalRREF`) is a
+fraction-free RREF over O_K whose kernel vectors come out primitive; it
+lives in `lattices`, which computes kernel lattices with it.  The
+valuations of the minors at t - lambda come from a local Smith form over
+truncated power series F_q[[t]]/(t^N), after the shift t -> t + lambda.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ import random
 from dataclasses import dataclass, field as dc_field
 from math import comb, factorial, inf
 
+import numpy as np
+
 from .census import DEFAULT_BUDGET, point_stream
-from .lattices import _IncrementalRREF, clear_denominators
+from .lattices import _IncrementalRREF
 from .multipoly import MultiPoly, reduce_mod
-from .rings import PolyRing, RatFunc, UniPoly
+from .rings import PolyRing, UniPoly
 from .varieties import HeightPoint, VarietySpec, default_names
 
 
@@ -241,46 +245,61 @@ class DivisibilityReport:
         }
 
 
-def _local_smith_valuations(rows, prime: UniPoly):
-    """Pivot valuations of the matrix over the local ring at prime.
+def _toeplitz(w):
+    """T[k, m] = w[k - m], lower triangular: x @ T.T is w * x mod t^len(w)."""
+    lag = np.arange(len(w))[:, None] - np.arange(len(w))[None, :]
+    return np.where(lag >= 0, w[np.maximum(lag, 0)], 0)
 
-    Repeatedly pivot on a minimal-valuation entry and clear its row and
-    column; the running sum after k steps is v_p(gcd of k x k minors).
+
+def _taylor_shift(lam: int, n: int, q: int, dtype):
+    """S with (coeffs of e) @ S = coeffs of e(t + lam), for deg e < n: row k
+    of S holds the coefficients of (t + lam)^k."""
+    shift = np.zeros((n, n), dtype=dtype)
+    shift[0, 0] = 1
+    for k in range(1, n):
+        shift[k, 1:] = shift[k - 1, :-1]
+        shift[k] = (shift[k] + lam * shift[k - 1]) % q
+    return shift
+
+
+def _local_smith_valuations(rows, lam: int):
+    """Pivot valuations of the matrix over the local ring at t - lam.
+
+    After t -> t + lam the entries live in F_q[[t]]; every nonzero k x k
+    minor has degree, hence valuation, below N = 1 + the sum of the rows'
+    degrees, so F_q[[t]]/(t^N) decides them.  Each step pivots on an entry
+    u t^v of least valuation and replaces every other row by
+    u row - (a / t^v) row_piv, where a is the row's entry in the pivot
+    column: a unit multiple of the Schur complement, known to v fewer terms.
+    The running sum after k steps is v_p(gcd of k x k minors).
     """
-    work = [[RatFunc.from_poly(e) for e in row] for row in rows]
-    nr, nc = len(work), len(work[0])
-    live_r = list(range(nr))
-    live_c = list(range(nc))
+    q = rows[0][0].field.p
+    n = 1 + sum(max((e.deg for e in row if not e.is_zero()), default=0) for row in rows)
+    # products of n residues must not overflow; Python ints otherwise
+    dtype = np.int64 if n * (q - 1) ** 2 < 2**63 else object
+    work = np.zeros((len(rows), len(rows[0]), n), dtype=dtype)
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            work[i, j, : len(e.coeffs)] = e.coeffs
+    work = work @ _taylor_shift(lam, n, q, dtype) % q
     pivots = []
-    while live_r and live_c:
-        best = None
-        for i in live_r:
-            for j in live_c:
-                a = work[i][j]
-                if a.is_zero():
-                    continue
-                v = a.valuation(prime)
-                if best is None or v < best[0]:
-                    best = (v, i, j)
-        if best is None:
+    while work.shape[0] and work.shape[1]:
+        nonzero = work != 0
+        vals = np.where(nonzero.any(axis=2), nonzero.argmax(axis=2), n)
+        pi, pj = np.unravel_index(np.argmin(vals), vals.shape)
+        v = int(vals[pi, pj])
+        if v == n:
             break
-        v, pi, pj = best
         pivots.append(v)
-        piv = work[pi][pj]
-        for i in live_r:
-            if i == pi:
-                continue
-            a = work[i][pj]
-            if a.is_zero():
-                continue
-            factor = a / piv
-            for j in live_c:
-                work[i][j] = work[i][j] - factor * work[pi][j]
-        for j in live_c:
-            if j != pj:
-                work[pi][j] = RatFunc.from_int(prime.field, 0)
-        live_r.remove(pi)
-        live_c.remove(pj)
+        n -= v
+        rest_r = np.arange(work.shape[0]) != pi
+        rest_c = np.arange(work.shape[1]) != pj
+        piv_row = work[pi, rest_c, :n]
+        rest = work[rest_r][:, rest_c, :n] @ _toeplitz(work[pi, pj, v:]).T % q
+        # each row's pivot-column entry divided by t^v
+        for r, a in enumerate(work[rest_r, pj, v:]):
+            rest[r] -= piv_row @ _toeplitz(a).T % q
+        work = rest % q
     return pivots
 
 
@@ -302,13 +321,13 @@ def divisibility_exponent(
         raise ValueError("need at least one point")
     if s > len(basis):
         raise ValueError("more points than monomials: enlarge the basis")
+    lam = _lambda_of(prime)
     if residue_point is not None:
         p = prime.field.p
-        lam = _lambda_of(prime)
         if not all(_in_class(pt, lam, residue_point, p) for pt in points):
             raise ValueError("point lies outside the congruence class")
     mat = build_eval_matrix(points, basis)
-    pivots = _local_smith_valuations(mat.entries, prime)
+    pivots = _local_smith_valuations(mat.entries, lam)
     rank = len(pivots)
     n = basis.nvars - 2  # hypersurface dimension for projective bases
     certified = s * (s - 1) // 2 if n == 1 and multiplicity == 1 else None
@@ -357,10 +376,6 @@ class AuxPolyResult:
         }
 
 
-def _kernel_vector_to_poly(vec, basis: MonomialBasis, ring: PolyRing) -> MultiPoly:
-    return MultiPoly(ring, basis.nvars, zip(basis.monomials, clear_denominators(vec)))
-
-
 def _search_kernel(points, d, nvars, ring, b, m_max, accept):
     """Incremental M from d: the first degree with an accepted kernel element.
 
@@ -380,13 +395,13 @@ def _search_kernel(points, d, nvars, ring, b, m_max, accept):
         target = len(basis) - basis_size(M - d, nvars)
         rref = _IncrementalRREF(len(basis), ring.base)
         for coords in points:
-            rref.add([RatFunc.from_poly(e) for e in basis.evaluate_row(coords)])
+            rref.add(basis.evaluate_row(coords))
             if rref.rank >= target:
                 break
         else:
             kernel = rref.kernel_basis()
             for vec in kernel:
-                g = _kernel_vector_to_poly(vec, basis, ring)
+                g = MultiPoly(ring, nvars, zip(basis.monomials, vec))
                 res = accept(g, M, rref.rank, len(kernel), target)
                 if res is not None:
                     return res

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .multipoly import unipoly_det
 from .parsing import parse_unipoly
-from .rings import NEG_INF, PrimeField, RatFunc, UniPoly, uni_content, uni_lcm
+from .rings import NEG_INF, PrimeField, UniPoly, uni_content, uni_gcd, uni_lcm
 
 
 @dataclass(frozen=True)
@@ -152,12 +152,17 @@ def lattice_height(M) -> int:
 
 
 class _IncrementalRREF:
-    """Gauss-Jordan over K, one row at a time, pivot columns tracked."""
+    """Fraction-free Gauss-Jordan over O_K, one row at a time.
+
+    Each stored row is primitive and fully reduced: zero at every other
+    pivot column.  Up to a factor in K it is the row of the RREF over K, so
+    the pivot columns and the kernel are those of the matrix over K.
+    """
 
     def __init__(self, width: int, field):
         self.width = width
         self.field = field
-        self.rows = {}  # pivot col -> fully reduced row (list of RatFunc)
+        self.rows = {}  # pivot col -> primitive fully reduced row (list of UniPoly)
 
     @property
     def rank(self) -> int:
@@ -167,49 +172,60 @@ class _IncrementalRREF:
         row = list(row)
         for col in sorted(self.rows):
             if not row[col].is_zero():
-                f = row[col]
-                piv = self.rows[col]
-                for j in range(col, self.width):
-                    row[j] = row[j] - f * piv[j]
+                row = _eliminate(row, self.rows[col], col)
         lead = next((j for j in range(self.width) if not row[j].is_zero()), None)
         if lead is None:
             return False
-        inv = row[lead].inv()
-        row = [e * inv for e in row]
+        row = _primitive(row)
         for col, other in self.rows.items():
             if not other[lead].is_zero():
-                f = other[lead]
-                for j in range(self.width):
-                    other[j] = other[j] - f * row[j]
+                self.rows[col] = _primitive(_eliminate(other, row, lead))
         self.rows[lead] = row
         return True
 
     def kernel_basis(self):
-        """One kernel vector per free column, in column order.  The RREF is
-        canonical, so the basis depends only on the row space."""
+        """One kernel vector per free column, in column order: the primitive
+        vector that is zero at the other free columns and monic at its own.
+        The RREF is canonical, so the basis depends only on the row space."""
         free = [j for j in range(self.width) if j not in self.rows]
+        zero, one = UniPoly.zero(self.field), UniPoly.one(self.field)
         basis = []
         for j in free:
-            vec = [RatFunc.from_int(self.field, 0)] * self.width
-            vec[j] = RatFunc.from_int(self.field, 1)
+            # over K the vector is 1 at j and -row[j] / row[col] at each
+            # pivot col; scale by the lcm of those fractions' denominators
+            parts = {}
+            den = one
             for col, row in self.rows.items():
-                vec[col] = -row[j]
+                if not row[j].is_zero():
+                    g = uni_gcd(row[col], row[j])
+                    parts[col] = (row[j].divexact(g), row[col].divexact(g))
+                    den = uni_lcm(den, parts[col][1])
+            vec = [zero] * self.width
+            vec[j] = den
+            for col, (num, d) in parts.items():
+                vec[col] = -(num * den.divexact(d))
             basis.append(vec)
         return basis
 
 
-def clear_denominators(v):
-    """Nonzero RatFunc row -> primitive UniPoly row: times the lcm of the
-    denominators, then divided by the monic content."""
-    den = None
-    for e in v:
-        if not e.is_zero():
-            den = e.den if den is None else uni_lcm(den, e.den)
-    polys = [e.num * den.divexact(e.den) for e in v]
-    g = uni_content(polys)
+def _eliminate(row, piv, col):
+    """Clear row[col] against piv: (a/g) row - (c/g) piv with a = piv[col],
+    c = row[col] and g = gcd(a, c), or row - (c/a) piv when a is a unit."""
+    a, c = piv[col], row[col]
+    if a.deg == 0:
+        # no multiple of row to form: the zero entries of piv leave it as is
+        c = c.scale(a.field.inv(a.lc))
+        return [x if y.is_zero() else x - y * c for x, y in zip(row, piv)]
+    g = uni_gcd(a, c)
     if g.deg > 0:
-        polys = [p.divexact(g) for p in polys]
-    return polys
+        a, c = a.divexact(g), c.divexact(g)
+    return [x * a if y.is_zero() else x * a - y * c for x, y in zip(row, piv)]
+
+
+def _primitive(row):
+    """Nonzero row divided by its monic content."""
+    g = uni_content(row)
+    return row if g.deg == 0 else [e.divexact(g) for e in row]
 
 
 def _saturate(rows):
@@ -268,10 +284,9 @@ def kernel_lattice(A) -> ReducedBasis:
         raise ValueError("need nrows < ncols")
     rref = _IncrementalRREF(len(rows[0]), rows[0][0].field)
     for r in rows:
-        if not rref.add([RatFunc.from_poly(e) for e in r]):
+        if not rref.add(r):
             raise ValueError("not full rank")
-    kern = [clear_denominators(v) for v in rref.kernel_basis()]
-    return reduce_basis(_saturate(kern))
+    return reduce_basis(_saturate(rref.kernel_basis()))
 
 
 def short_kernel_vector(A):

@@ -403,12 +403,6 @@ class RatFunc:
             return NotImplemented
         return self * other.inv()
 
-    def valuation(self, p: UniPoly) -> int:
-        if self.is_zero():
-            raise ValueError("valuation of zero is infinite")
-        vd = valuation_at(self.den, p) if self.den.deg > 0 else 0
-        return valuation_at(self.num, p) - vd
-
     def __eq__(self, other):
         return (
             isinstance(other, RatFunc)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from itertools import combinations
@@ -15,6 +16,7 @@ from ffheight.detmethod import (
     divisibility_exponent,
     monomial_basis,
     mult_at,
+    _local_smith_valuations,
 )
 from ffheight.multipoly import unipoly_det
 from ffheight.parsing import parse_poly, parse_unipoly
@@ -215,6 +217,106 @@ def test_divisibility_matches_minor_oracle_random():
             assert rep.exponent == brute_exponent(sample, B, T("t - 1"))
         else:
             assert rep.exponent == float("inf")
+
+
+def _smith_case(rng, fld, lam, kind):
+    """A random matrix over F_q[t] of one of four shapes, at most 4 x 5."""
+    q = fld.p
+    nr = rng.randrange(1, 5)
+    nc = rng.randrange(nr, 6)  # s = nr <= number of columns, often below it
+    lin = UniPoly(fld, [-lam % q, 1])
+
+    def entry(maxdeg):
+        return UniPoly(fld, [rng.randrange(q) for _ in range(rng.randrange(maxdeg + 1) + 1)])
+
+    if kind == "tight":
+        # (t - lam)^k times a constant row: full-rank minors have valuation N - 1
+        return [[lin ** rng.randrange(4) * entry(0) for _ in range(nc)] for _ in range(nr)]
+    rows = [[entry(3) for _ in range(nc)] for _ in range(nr)]
+    if kind == "scaled":
+        rows = [[lin ** k * e for e in row] for row, k in
+                zip(rows, [rng.randrange(5) for _ in rows])]
+    elif kind == "deficient" and nr > 1:
+        a, b = entry(1), entry(1)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (nr - 1)])]
+    return rows
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_smith_kernel_matches_minor_oracle(q):
+    """After k pivots the running sum is v_p of the gcd of the k x k minors,
+    and the pivots stop exactly at the rank."""
+    fld = PrimeField(q)
+    rng = random.Random(q)
+    kinds = ("plain", "scaled", "tight", "deficient")
+    for trial in range(48):
+        lam = rng.randrange(q) if trial % 4 else 1 + rng.randrange(q - 1)
+        rows = _smith_case(rng, fld, lam, kinds[trial % 4])
+        prime = UniPoly(fld, [-lam % q, 1])
+        pivots = _local_smith_valuations(rows, lam)
+        assert all(type(v) is int for v in pivots)
+        for k in range(1, len(rows) + 1):
+            want = minors_gcd_valuation(rows, k, prime)
+            got = sum(pivots[:k]) if k <= len(pivots) else None
+            assert got == want, (rows, lam, k)
+
+
+def test_smith_kernel_large_prime_uses_exact_ints():
+    # (q - 1)^2 overflows int64 here, so the kernel must fall back to Python ints
+    q = 4294967311
+    fld = PrimeField(q)
+    lam = q - 3
+    lin = UniPoly(fld, [3, 1])
+    rows = [
+        [lin * UniPoly(fld, [q - 1, 2]), UniPoly(fld, [5, q - 2, 1]), lin],
+        [UniPoly(fld, [q - 7]), lin * lin, UniPoly(fld, [1, 1])],
+    ]
+    pivots = _local_smith_valuations(rows, lam)
+    for k in (1, 2):
+        assert sum(pivots[:k]) == minors_gcd_valuation(rows, k, lin)
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_divisibility_matches_minor_oracle_shifted(q):
+    """Random projective points at t = lam != 0: plain, scaled by powers of
+    t - lam, and with a repeated point (rank deficient, exponent inf)."""
+    fld = PrimeField(q)
+    rng = random.Random(100 + q)
+    for trial in range(24):
+        lam = 1 + rng.randrange(q - 1)
+        prime = UniPoly(fld, [-lam % q, 1])
+        B = monomial_basis(rng.randrange(1, 3), 3)
+        s = rng.randrange(1, min(len(B), 4) + 1)
+        pts = []
+        for _ in range(s):
+            k = rng.randrange(3) if trial % 3 == 1 else 0
+            coords = [prime ** k * UniPoly(fld, [rng.randrange(q) for _ in range(3)])
+                      for _ in range(3)]
+            if all(c.is_zero() for c in coords):
+                coords[0] = UniPoly.one(fld)
+            pts.append(HeightPoint(tuple(coords), projective=True))
+        if trial % 3 == 2 and s > 1:
+            pts[-1] = pts[0]
+        rep = divisibility_exponent(pts, B, prime)
+        want = brute_exponent(pts, B, prime)
+        assert rep.exponent == (math.inf if want is None else want)
+        assert (rep.rank < s) == (want is None)
+
+
+def test_divisibility_needs_a_degree_one_prime():
+    X = variety_from_strs("projective", ["x", "y", "z"], ["x^2 - y*z"], 5)
+    pts = congruence_class(X, 2, [CongruenceDatum(T("t - 1"), (2, 1, 4))])
+    with pytest.raises(ValueError, match="degree-1"):
+        divisibility_exponent(pts[:1], monomial_basis(2, 3), T("t^2 + 2"))
+
+
+def test_divisibility_report_is_json():
+    X = variety_from_strs("projective", ["x", "y", "z"], ["x^2 - y*z"], 5)
+    pts = congruence_class(X, 3, [CongruenceDatum(T("t - 1"), (2, 1, 4))])
+    rep = divisibility_exponent(pts[:3], monomial_basis(2, 3), T("t - 1"))
+    js = json.loads(json.dumps(rep.to_json()))
+    assert js["pivot_valuations"] == list(rep.pivots)
+    assert all(type(v) is int for v in rep.pivots)
 
 
 def test_divisibility_rejects_stray_point():

@@ -5,6 +5,7 @@ import pytest
 
 from ffheight.lattices import (
     PolyMatrix,
+    _IncrementalRREF,
     kernel_lattice,
     lattice_height,
     linear_space_count,
@@ -13,7 +14,7 @@ from ffheight.lattices import (
     row_height,
     short_kernel_vector,
 )
-from ffheight.rings import PrimeField, UniPoly, uni_gcd
+from ffheight.rings import PrimeField, UniPoly, uni_content, uni_gcd
 
 
 F5 = PrimeField(5)
@@ -127,6 +128,39 @@ def test_kernel_lattice_annihilates():
                     acc = acc + a * x
                 assert acc.is_zero()
         checked += 1
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_kernel_basis_is_canonical(q):
+    """Each kernel vector is the unique one with A v = 0, zero at the other
+    free columns, monic at its own and content 1."""
+    fld = PrimeField(q)
+    rng = random.Random(20 + q)
+    deficient = 0
+    for trial in range(60):
+        m = rng.randrange(1, 4)
+        n = m + rng.randrange(1, 4)
+        rows = rand_matrix(rng, fld, m, n)
+        if trial % 2:
+            a, b = rand_matrix(rng, fld, 1, 2, maxdeg=1)[0]
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+        rref = _IncrementalRREF(n, fld)
+        added = [rref.add(r) for r in rows]
+        deficient += rref.rank < len(rows)
+        assert added.count(True) == rref.rank
+        free = [j for j in range(n) if j not in rref.rows]
+        basis = rref.kernel_basis()
+        assert len(basis) == n - rref.rank == len(free)
+        for j, v in zip(free, basis):
+            for r in rows:
+                acc = UniPoly.zero(fld)
+                for a, x in zip(r, v):
+                    acc = acc + a * x
+                assert acc.is_zero()
+            assert all(v[k].is_zero() for k in free if k != j)
+            assert v[j].lc == 1
+            assert uni_content(v).deg == 0
+    assert deficient >= 30
 
 
 def test_kernel_height_equals_matrix_height():

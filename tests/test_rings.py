@@ -122,7 +122,6 @@ def test_ratfunc_normalization():
 
 def test_ratfunc_field_ops():
     rng = random.Random(2)
-    t = poly([0, 1])
     one = RatFunc.from_int(F5, 1)
     for _ in range(100):
         num = poly([rng.randrange(5) for _ in range(3)])
@@ -132,7 +131,6 @@ def test_ratfunc_field_ops():
         r = RatFunc(num, den)
         assert r * r.inv() == one
         assert r - r == RatFunc.from_int(F5, 0)
-        assert r.valuation(t) == (valuation_at(num, t) - valuation_at(den, t))
 
 
 def test_lcm():
