@@ -42,7 +42,7 @@ from .pell import (
     pell_solutions,
     sqrt_series,
 )
-from .rings import FracField, PolyRing, PrimeField, RatFunc, UniPoly
+from .rings import PolyRing, PrimeField, UniPoly
 from .varieties import (
     ExpandedSystem,
     HeightPoint,
@@ -61,7 +61,6 @@ __all__ = [
     "CountResult",
     "DivisibilityReport",
     "ExpandedSystem",
-    "FracField",
     "GroebnerBasis",
     "HeightPoint",
     "InstanceSpec",
@@ -73,7 +72,6 @@ __all__ = [
     "PolyMatrix",
     "PolyRing",
     "PrimeField",
-    "RatFunc",
     "ReducedBasis",
     "UniPoly",
     "VarietySpec",

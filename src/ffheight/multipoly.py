@@ -1,13 +1,13 @@
-"""Sparse multivariate polynomials over F_p, F_p[t], or F_p(t).
+"""Sparse multivariate polynomials over F_p or F_p[t].
 
 Terms map exponent vectors to nonzero coefficients; the coefficient domain is
-carried as a ring tag (PrimeField, PolyRing, FracField).  The fixed monomial
+carried as a ring tag (PrimeField, PolyRing).  The fixed monomial
 order everywhere is graded reverse lexicographic.
 """
 
 from __future__ import annotations
 
-from .rings import NEG_INF, FracField, PolyRing, PrimeField, RatFunc, UniPoly, uni_content
+from .rings import NEG_INF, PolyRing, PrimeField, UniPoly, uni_content
 
 
 def grevlex_key(exps):
@@ -171,20 +171,9 @@ class MultiPoly:
             return NEG_INF
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, i: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
-
     def is_homogeneous(self) -> bool:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def homogeneous_part(self, i: int):
-        """Sum of terms of total x-degree exactly i (t inside coefficients ignored)."""
-        r = MultiPoly.zero(self.ring, self.nvars)
-        r.terms = {e: c for e, c in self.terms.items() if sum(e) == i}
-        return r
 
     def coeff_of(self, exps):
         return self.terms.get(tuple(exps), self.ring.zero)
@@ -203,13 +192,11 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]), reverse=True)
 
     def monic(self):
-        """Scale so the grevlex leading coefficient is 1.  Field coefficients only."""
+        """Scale so the grevlex leading coefficient is 1.  F_p coefficients only."""
         e, c = self.leading_term()
         ring = self.ring
         if isinstance(ring, PrimeField):
             return self.scale(ring.inv(c))
-        if isinstance(ring, FracField):
-            return self.scale(c.inv())
         raise TypeError("monic() needs field coefficients")
 
     # -- evaluation and substitution ------------------------------------------
@@ -297,14 +284,6 @@ class MultiPoly:
         r.terms = out
         return r
 
-    def to_fractions(self):
-        if isinstance(self.ring, FracField):
-            return self
-        if not isinstance(self.ring, PolyRing):
-            raise TypeError("only O_K coefficients promote to K")
-        K = FracField(self.ring.base)
-        return self.map_coeffs(RatFunc.from_poly, K)
-
     # -- O_K content ---------------------------------------------------------
     def content(self) -> UniPoly:
         """gcd of the coefficients (PolyRing coefficients)."""
@@ -336,8 +315,6 @@ class MultiPoly:
             if monomial_divides(ge, e):
                 if isinstance(ring, PrimeField):
                     factor = ring.div(c, gc)
-                elif isinstance(ring, FracField):
-                    factor = c / gc
                 else:
                     qq, rr = divmod(c, gc)
                     if not rr.is_zero():
@@ -354,21 +331,16 @@ class MultiPoly:
                 rem = rem - MultiPoly(ring, self.nvars, {e: c})
         return q, r
 
-    def divexact(self, g):
-        q, r = self.divmod_single(g)
-        if not r.is_zero():
-            raise ArithmeticError("inexact division")
-        return q
-
     def divides(self, f) -> bool:
         """Does self divide f (over the fraction field for O_K coefficients)."""
         if f.is_zero():
             return True
-        a, b = f, self
-        if isinstance(self.ring, PolyRing):
-            a, b = f.to_fractions(), self.to_fractions()
-        _, r = a.divmod_single(b)
-        return r.is_zero()
+        if self.is_zero():
+            raise ZeroDivisionError("division by the zero polynomial")
+        # Gauss's lemma: a primitive divisor divides f over F_p(t) iff over F_p[t],
+        # and then every leading coefficient met divides, so the remainder is 0.
+        d = self.primitive_part() if isinstance(self.ring, PolyRing) else self
+        return f.divmod_single(d)[1].is_zero()
 
     # -- misc -------------------------------------------------------------------
     def __eq__(self, other):
@@ -396,7 +368,6 @@ class MultiPoly:
             is_one = cs == "1"
             # a one-term coefficient like 4*t reparses without parentheses
             needs_paren = isinstance(c, UniPoly) and len(c.coeffs) - c.coeffs.count(0) > 1
-            needs_paren = needs_paren or isinstance(c, RatFunc)
             if not is_one or not any(e):
                 factors.append(f"({cs})" if needs_paren and any(e) else cs)
             for i, k in enumerate(e):

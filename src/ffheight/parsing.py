@@ -2,7 +2,7 @@
 
 The grammar admits + - * ^ and parentheses.  Variable names come from the
 caller; t is reserved for the coefficient ring and only allowed when the
-coefficients live in F_p[t] or F_p(t).  Printing produces a string that
+coefficients live in F_p[t].  Printing produces a string that
 parses back to the same polynomial.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 
 from .multipoly import MultiPoly
-from .rings import FracField, PolyRing, UniPoly
+from .rings import PolyRing, UniPoly
 
 
 class ParseError(ValueError):
@@ -55,7 +55,7 @@ class _Parser:
         self.ring = ring
         self.nvars = len(names)
         self.index = {n: i for i, n in enumerate(names)}
-        if isinstance(ring, (PolyRing, FracField)):
+        if isinstance(ring, PolyRing):
             self.t_poly = MultiPoly.const(ring, self.nvars, UniPoly.gen(ring.base))
         else:
             self.t_poly = None

@@ -1,4 +1,4 @@
-"""Exact arithmetic kernels: prime fields, F_p[t], and F_p(t).
+"""Exact arithmetic kernels: prime fields and F_p[t].
 
 Field elements are plain Python ints in [0, p); univariate polynomials are
 dense coefficient tuples, lowest degree first.  Every value in this module is
@@ -65,17 +65,34 @@ class PrimeField:
         return a % self.p == 0
 
     def sqrt(self, a: int):
-        """A square root of a, or None when a is a non-residue.
+        """The smaller of the two square roots of a, or None for a non-residue.
 
-        Brute search; every modulus in this package is desk sized.
+        Euler's criterion decides, Tonelli-Shanks finds a root r, and
+        min(r, p - r) makes the answer independent of how it was found.
         """
-        a %= self.p
-        if a == 0:
-            return 0
-        for r in range(1, self.p):
-            if r * r % self.p == a:
-                return r
-        return None
+        p = self.p
+        a %= p
+        if a == 0 or p == 2:
+            return a
+        if pow(a, (p - 1) // 2, p) != 1:
+            return None
+        s, e = p - 1, 0  # p - 1 = s * 2^e with s odd
+        while s % 2 == 0:
+            s //= 2
+            e += 1
+        z = 2
+        while pow(z, (p - 1) // 2, p) != p - 1:
+            z += 1
+        c, r, u = pow(z, s, p), pow(a, (s + 1) // 2, p), pow(a, s, p)
+        while u != 1:
+            i, u2 = 0, u
+            while u2 != 1:  # least i with u^(2^i) = 1; i < e
+                u2 = u2 * u2 % p
+                i += 1
+            b = pow(c, 1 << (e - i - 1), p)
+            r, c = r * b % p, b * b % p
+            u, e = u * c % p, i
+        return min(r, p - r)
 
     def fmt(self, a: int) -> str:
         return str(a % self.p)
@@ -299,129 +316,6 @@ def uni_content(polys):
     return g
 
 
-def _check_prime_poly(p: UniPoly):
-    """Ben-Or: p of degree d >= 2 is irreducible iff gcd(t^(q^i) - t, p) = 1
-    for every i <= d/2, the powers taken mod p.  Degree 1 is always prime."""
-    d = p.deg
-    if d is NEG_INF or d < 1:
-        raise ValueError("prime must have degree >= 1")
-    if d == 1:
-        return
-    t = UniPoly.gen(p.field)
-    x = t
-    for i in range(1, d // 2 + 1):
-        x = _pow_mod(x, p.field.p, p)
-        if uni_gcd(x - t, p).deg > 0:
-            raise ValueError(f"{p} is reducible (a factor of degree dividing {i})")
-
-
-def _pow_mod(a: UniPoly, e: int, m: UniPoly) -> UniPoly:
-    result = UniPoly.one(a.field)
-    while e:
-        if e & 1:
-            result = result * a % m
-        a = a * a % m
-        e >>= 1
-    return result
-
-
-def valuation_at(a: UniPoly, p: UniPoly) -> int:
-    """Largest e with p^e | a.  Errors on a = 0 (valuation infinite)."""
-    if a.is_zero():
-        raise ValueError("valuation of the zero polynomial is infinite")
-    _check_prime_poly(p)
-    e = 0
-    while True:
-        q, r = divmod(a, p)
-        if not r.is_zero():
-            return e
-        a = q
-        e += 1
-
-
-class RatFunc:
-    """Element of F_p(t): num/den with den monic and gcd(num, den) = 1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UniPoly, den: UniPoly):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero():
-            den = UniPoly.one(num.field)
-        else:
-            g = uni_gcd(num, den)
-            if g.deg is not NEG_INF and g.deg > 0:
-                num = num.divexact(g)
-                den = den.divexact(g)
-            c = den.field.inv(den.lc)
-            num = num.scale(c)
-            den = den.scale(c)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, a: UniPoly):
-        return cls(a, UniPoly.one(a.field))
-
-    @classmethod
-    def from_int(cls, field: PrimeField, n: int):
-        return cls(UniPoly.const(field, n), UniPoly.one(field))
-
-    @property
-    def field(self):
-        return self.num.field
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def inv(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
-
-    def __truediv__(self, other):
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self * other.inv()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatFunc)
-            and other.num == self.num
-            and other.den == self.den
-        )
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __str__(self):
-        if self.den.deg == 0:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"RatFunc({self})"
-
-
 class PolyRing:
     """O_K = F_p[t] as a coefficient ring tag for multivariate polynomials."""
 
@@ -473,60 +367,3 @@ class PolyRing:
 
     def __repr__(self):
         return f"F{self.base.p}[t]"
-
-
-class FracField:
-    """K = F_p(t) as a coefficient ring tag."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: PrimeField):
-        self.base = base
-
-    @property
-    def zero(self):
-        return RatFunc.from_int(self.base, 0)
-
-    @property
-    def one(self):
-        return RatFunc.from_int(self.base, 1)
-
-    def from_int(self, n: int):
-        return RatFunc.from_int(self.base, n)
-
-    def coerce(self, x):
-        if isinstance(x, RatFunc):
-            if x.field != self.base:
-                raise ValueError("field mismatch")
-            return x
-        if isinstance(x, UniPoly):
-            if x.field != self.base:
-                raise ValueError("field mismatch")
-            return RatFunc.from_poly(x)
-        if isinstance(x, int):
-            return self.from_int(x)
-        raise TypeError(f"cannot coerce {x!r} into {self!r}")
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def fmt(self, a) -> str:
-        return str(a)
-
-    def __eq__(self, other):
-        return isinstance(other, FracField) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("K", self.base.p))
-
-    def __repr__(self):
-        return f"F{self.base.p}(t)"

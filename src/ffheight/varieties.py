@@ -137,11 +137,6 @@ class HeightPoint:
         return f"({inner})"
 
 
-def point_from_coeffs(field, blocks, projective=False):
-    """Build a HeightPoint from per-coordinate coefficient lists (low first)."""
-    return HeightPoint(tuple(UniPoly(field, bl) for bl in blocks), projective)
-
-
 @dataclass(frozen=True)
 class ExpandedSystem:
     """Equations over F_p in the coefficient variables a_ij.

@@ -20,7 +20,7 @@ from ffheight.detmethod import (
 )
 from ffheight.multipoly import unipoly_det
 from ffheight.parsing import parse_poly, parse_unipoly
-from ffheight.rings import PolyRing, PrimeField, UniPoly, valuation_at
+from ffheight.rings import PolyRing, PrimeField, UniPoly
 from ffheight.varieties import HeightPoint, on_variety, variety_from_strs
 
 
@@ -143,6 +143,17 @@ def test_congruence_class_projective_scaling():
         )
 
 
+def linear_valuation(a: UniPoly, p: UniPoly) -> int:
+    """Largest e with p^e | a, for a nonzero a and a degree-1 prime p."""
+    assert p.deg == 1 and not a.is_zero()
+    e = 0
+    while True:
+        q, r = divmod(a, p)
+        if not r.is_zero():
+            return e
+        a, e = q, e + 1
+
+
 def minors_gcd_valuation(rows, s: int, p: UniPoly):
     """v_p of the gcd of all s x s minors of a matrix of UniPolys (small matrices).
 
@@ -157,7 +168,7 @@ def minors_gcd_valuation(rows, s: int, p: UniPoly):
             det = unipoly_det(sub)
             if det.is_zero():
                 continue
-            v = valuation_at(det, p)
+            v = linear_valuation(det, p)
             best = v if best is None else min(best, v)
             if best == 0:
                 return 0
@@ -179,7 +190,7 @@ def test_minors_gcd_valuation_matches_direct():
         t * (t * t) - one * t,
         (t * t) * (t * t) - t * t,
     ]
-    vals = [valuation_at(m, t) for m in minors if not m.is_zero()]
+    vals = [linear_valuation(m, t) for m in minors if not m.is_zero()]
     assert minors_gcd_valuation(rows, 2, t) == min(vals)
 
 

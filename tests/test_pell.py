@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -70,6 +71,17 @@ def test_sqrt_series_rejects_bad_input():
         sqrt_series(T("2*t^2"), 5)  # 2 is not a square mod 5
     with pytest.raises(ValueError):
         sqrt_series(UniPoly(PrimeField(2), [1, 0, 1]), 5)
+
+
+def test_nonresidue_leading_coefficient_rejected_fast_over_large_prime():
+    F = PrimeField(1000000007)  # 5 is a non-residue mod this prime
+    beta = T("5*t^2 + 1", F)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="leading coefficient"):
+        sqrt_series(beta, 5)
+    with pytest.raises(ValueError, match="square leading coefficient"):
+        PellInstance(beta, UniPoly.one(F))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_instance_validation():

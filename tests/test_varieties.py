@@ -10,7 +10,6 @@ from ffheight.varieties import (
     default_names,
     expand,
     on_variety,
-    point_from_coeffs,
     variety_from_strs,
 )
 
@@ -54,7 +53,7 @@ def test_height_projective_clears_content():
 
 
 def test_point_from_coeffs_and_reduce():
-    pt = point_from_coeffs(F5, [[1, 2], [3]])
+    pt = HeightPoint((UniPoly(F5, [1, 2]), UniPoly(F5, [3])))
     assert pt.reduce_at(1) == (3, 3)
     assert pt.reduce_at(0) == (1, 3)
 
