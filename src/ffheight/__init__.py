@@ -40,7 +40,6 @@ from .pell import (
     continued_fraction_unit,
     pell_family,
     pell_solutions,
-    sqrt_series,
 )
 from .rings import PolyRing, PrimeField, UniPoly
 from .varieties import (
@@ -97,6 +96,5 @@ __all__ = [
     "point_stream",
     "reduce_basis",
     "short_kernel_vector",
-    "sqrt_series",
     "variety_from_strs",
 ]

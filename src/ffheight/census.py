@@ -601,14 +601,8 @@ class CensusReport:
         return out
 
 
-def _count_worker(payload):
-    inst = InstanceSpec.from_json(payload["instance"])
-    res = count_points(inst.variety(payload["q"]), payload["b"], payload["budget"])
-    return res
-
-
 def dim_estimate(
-    inst: InstanceSpec, b: int, qs, budget: int = DEFAULT_BUDGET, pool=None
+    inst: InstanceSpec, b: int, qs, budget: int = DEFAULT_BUDGET
 ) -> CensusReport:
     """Counts across primes, slope fit, and the declared-bound verdict."""
     qs = tuple(sorted(qs))
@@ -616,13 +610,7 @@ def dim_estimate(
         raise ValueError(f"repeated primes in {qs}: each prime counts once")
     if len(qs) < 3:
         raise ValueError("need at least 3 distinct primes for a dimension fit")
-    payloads = [
-        {"instance": inst.to_json(), "b": b, "q": q, "budget": budget} for q in qs
-    ]
-    if pool is None:
-        results = [_count_worker(p) for p in payloads]
-    else:
-        results = pool.map(_count_worker, payloads)
+    results = [count_points(inst.variety(q), b, budget) for q in qs]
     counts = tuple(r.count for r in results)
     fit = _fit_dimension(qs, counts)
     bound = inst.dim_bound(b)

@@ -122,6 +122,13 @@ def _matrix_from_arg(text, q) -> PolyMatrix:
             rows = json.load(fh)
     else:
         rows = json.loads(text)
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(isinstance(r, list) and r for r in rows)
+        and all(isinstance(s, str) for r in rows for s in r)
+    ):
+        raise ParseError("matrix must be a non-empty list of lists of strings", text, 0)
     return PolyMatrix.from_strs(rows, q)
 
 
@@ -156,17 +163,7 @@ def _cmd_census(args):
         return 0
     if args.mode == "dim":
         inst = _instance_from_args(args)
-        pool = None
-        if args.jobs and args.jobs > 1:
-            import multiprocessing
-
-            pool = multiprocessing.Pool(args.jobs)
-        try:
-            rep = dim_estimate(inst, args.b, args.q, budget=budget, pool=pool)
-        finally:
-            if pool is not None:
-                pool.close()
-                pool.join()
+        rep = dim_estimate(inst, args.b, args.q, budget=budget)
         _emit(rep.to_json())
         fit = rep.fit
         _human(
@@ -385,7 +382,6 @@ def build_parser():
     pc.add_argument("--b-list", type=_parse_ints, default=(1, 2, 3))
     pc.add_argument("--q", type=_parse_qs, default=(3, 5, 7))
     pc.add_argument("--budget", type=int, default=None)
-    pc.add_argument("--jobs", type=int, default=1)
     pc.set_defaults(fn=_cmd_census)
 
     pl = sub.add_parser("lattice", help="O_K-lattice computations")

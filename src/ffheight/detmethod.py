@@ -23,7 +23,7 @@ import numpy as np
 
 from .census import DEFAULT_BUDGET, point_stream
 from .lattices import _IncrementalRREF
-from .multipoly import MultiPoly, reduce_mod
+from .multipoly import MultiPoly, prime_residue, reduce_mod
 from .rings import PolyRing, UniPoly
 from .varieties import HeightPoint, VarietySpec, default_names
 
@@ -144,13 +144,6 @@ def mult_at(f: MultiPoly, point, prime: UniPoly | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _lambda_of(prime: UniPoly) -> int:
-    if prime.deg != 1:
-        raise ValueError("only degree-1 primes t - lambda are supported")
-    fld = prime.field
-    return fld.div(fld.neg(prime.coeff(0)), prime.coeff(1))
-
-
 @dataclass(frozen=True)
 class CongruenceDatum:
     prime: UniPoly
@@ -158,11 +151,11 @@ class CongruenceDatum:
     multiplicity: int | None = None  # computed from f when absent
 
     def __post_init__(self):
-        _lambda_of(self.prime)
+        prime_residue(self.prime)
 
     @property
     def residue(self) -> int:
-        return _lambda_of(self.prime)
+        return prime_residue(self.prime)
 
     def resolved(self, f: MultiPoly) -> "CongruenceDatum":
         """Validate against f, filling in the multiplicity."""
@@ -199,25 +192,15 @@ def congruence_class(X: VarietySpec, b: int, data, budget=DEFAULT_BUDGET):
     ]
 
 
-@dataclass(frozen=True)
-class EvalMatrix:
-    points: tuple
-    basis: MonomialBasis
-    entries: tuple  # rows of UniPoly
-
-    @property
-    def shape(self):
-        return (len(self.entries), len(self.basis))
-
-
-def build_eval_matrix(points, basis: MonomialBasis) -> EvalMatrix:
+def build_eval_matrix(points, basis: MonomialBasis) -> list:
+    """One row of basis monomials (UniPoly entries) per point."""
     rows = []
     for pt in points:
         coords = pt.coords if isinstance(pt, HeightPoint) else tuple(pt)
         if len(coords) != basis.nvars:
             raise ValueError("point arity does not match the basis")
         rows.append(tuple(basis.evaluate_row(coords)))
-    return EvalMatrix(points=tuple(points), basis=basis, entries=tuple(rows))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +304,12 @@ def divisibility_exponent(
         raise ValueError("need at least one point")
     if s > len(basis):
         raise ValueError("more points than monomials: enlarge the basis")
-    lam = _lambda_of(prime)
+    lam = prime_residue(prime)
     if residue_point is not None:
         p = prime.field.p
         if not all(_in_class(pt, lam, residue_point, p) for pt in points):
             raise ValueError("point lies outside the congruence class")
-    mat = build_eval_matrix(points, basis)
-    pivots = _local_smith_valuations(mat.entries, lam)
+    pivots = _local_smith_valuations(build_eval_matrix(points, basis), lam)
     rank = len(pivots)
     n = basis.nvars - 2  # hypersurface dimension for projective bases
     certified = s * (s - 1) // 2 if n == 1 and multiplicity == 1 else None

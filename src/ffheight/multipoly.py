@@ -385,20 +385,27 @@ class MultiPoly:
         return f"MultiPoly({self.ring!r}, {self})"
 
 
+def prime_residue(p: UniPoly) -> int:
+    """The residue lambda = -c0/c1 of a degree-1 prime p = c1*t + c0.
+
+    Degree >= 2 primes would need an extension field and are rejected.
+    """
+    if p.deg != 1:
+        raise ValueError("only degree-1 primes t - lambda are supported")
+    fld = p.field
+    return fld.div(fld.neg(p.coeff(0)), p.coeff(1))
+
+
 def reduce_mod(f: MultiPoly, p: UniPoly) -> MultiPoly:
     """Reduce O_K coefficients modulo a degree-1 prime p = c1*t + c0.
 
     Substitutes the residue t = -c0/c1 into every coefficient, landing in
-    F_p-coefficient polynomials.  Degree >= 2 primes would need an extension
-    field and are rejected.
+    F_p-coefficient polynomials.
     """
     if not isinstance(f.ring, PolyRing):
         raise TypeError("reduce_mod needs O_K coefficients")
-    if p.deg != 1:
-        raise ValueError("unsupported prime: only degree-1 primes t - lambda")
-    base = f.ring.base
-    lam = base.div(base.neg(p.coeff(0)), p.coeff(1))
-    return f.map_coeffs(lambda c: c.eval_at(lam), base)
+    lam = prime_residue(p)
+    return f.map_coeffs(lambda c: c.eval_at(lam), f.ring.base)
 
 
 def unipoly_det(m):

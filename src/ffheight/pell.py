@@ -2,9 +2,11 @@
 
 beta must have even degree with square leading coefficient, so sqrt(beta)
 lives in the Laurent field F_q((1/t)); its continued fraction is periodic
-and yields the fundamental unit.  Bounded-height solution sets are produced
-by coefficient enumeration (the completeness authority) and cross-checked
-against the unit orbit of the found solutions.
+and yields the fundamental unit.  Only the polynomial part A of sqrt(beta)
+is ever needed: every partial quotient is a floor division in F_q[t]
+(Artin, 1924).  Bounded-height solution sets are produced by coefficient
+enumeration (the completeness authority) and cross-checked against the
+unit orbit of the found solutions.
 
 Odd characteristic only: completing squares and the sqrt recurrence both
 divide by 2.
@@ -20,94 +22,13 @@ from .rings import PolyRing, PrimeField, UniPoly, is_prime
 from .varieties import VarietySpec
 
 
-class LaurentSeries:
-    """Truncated series in descending powers of t.
+def _floor_sqrt(beta: UniPoly) -> UniPoly:
+    """Polynomial part A of sqrt(beta) in F_q((1/t)), taking lc A = sqrt(lc beta).
 
-    coeffs[i] is the coefficient of t^(lead - i); everything below the
-    truncation exponent is unknown, not zero.
-    """
-
-    __slots__ = ("field", "lead", "coeffs")
-
-    def __init__(self, field, lead: int, coeffs):
-        coeffs = [c % field.p for c in coeffs]
-        while coeffs and coeffs[0] == 0:
-            coeffs = coeffs[1:]
-            lead -= 1
-        self.field = field
-        self.lead = lead
-        self.coeffs = coeffs
-
-    @property
-    def precision(self) -> int:
-        """Lowest exponent whose coefficient is known."""
-        return self.lead - len(self.coeffs) + 1
-
-    @classmethod
-    def from_poly(cls, f: UniPoly, floor: int):
-        co = list(reversed(f.coeffs)) if not f.is_zero() else []
-        lead = f.deg if not f.is_zero() else floor
-        co = co + [0] * (lead - floor + 1 - len(co))
-        return cls(f.field, int(lead) if co else floor, co)
-
-    def coeff(self, exp: int) -> int:
-        if exp > self.lead:
-            return 0
-        if exp < self.precision:
-            raise ValueError("coefficient below truncation")
-        return self.coeffs[self.lead - exp]
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return LaurentSeries(self.field, 0, [])
-        q = self.field.p
-        prec = max(
-            self.precision + other.lead, other.precision + self.lead
-        )
-        lead = self.lead + other.lead
-        out = [0] * (lead - prec + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                e = lead - i - j
-                if e < prec:
-                    break
-                out[lead - e] = (out[lead - e] + a * b) % q
-        return LaurentSeries(self.field, lead, out)
-
-    def __sub__(self, other):
-        q = self.field.p
-        lead = max(self.lead, other.lead)
-        prec = max(self.precision, other.precision)
-        out = []
-        for e in range(lead, prec - 1, -1):
-            a = self.coeff(e) if self.precision <= e <= self.lead else 0
-            b = other.coeff(e) if other.precision <= e <= other.lead else 0
-            out.append((a - b) % q)
-        return LaurentSeries(self.field, lead, out)
-
-    def vanishes(self) -> bool:
-        """All known coefficients zero."""
-        return all(c == 0 for c in self.coeffs)
-
-    def poly_part(self) -> UniPoly:
-        co = [self.coeff(e) for e in range(0, self.lead + 1)] if self.lead >= 0 else []
-        return UniPoly(self.field, co)
-
-    def __str__(self):
-        bits = []
-        for i, c in enumerate(self.coeffs):
-            if c:
-                bits.append(f"{c}*t^{self.lead - i}")
-        return " + ".join(bits) if bits else "0"
-
-
-def sqrt_series(beta: UniPoly, nterms: int) -> LaurentSeries:
-    """Series s with s^2 = beta, to nterms coefficients.
-
-    Needs even degree, a square leading coefficient, and odd characteristic;
-    the classic coefficient recurrence 2*c0*cn = beta_(2k-n) - sum ci*cj.
+    Needs even degree 2k, a square leading coefficient, and odd
+    characteristic.  The coefficients of t^k, ..., t^0 come from the classic
+    recurrence 2*c0*cn = beta_(2k-n) - sum ci*c(n-i); then sqrt(beta) - A has
+    negative degree, i.e. deg(beta - A^2) < k.
     """
     fld = beta.field
     if fld.p == 2:
@@ -120,41 +41,12 @@ def sqrt_series(beta: UniPoly, nterms: int) -> LaurentSeries:
     k = beta.deg // 2
     inv2c0 = fld.inv(2 * c0 % fld.p)
     cs = [c0]
-    for n in range(1, nterms):
+    for n in range(1, k + 1):
         acc = beta.coeff(2 * k - n)
         for i in range(1, n):
             acc -= cs[i] * cs[n - i]
         cs.append(acc * inv2c0 % fld.p)
-    return LaurentSeries(fld, k, cs)
-
-
-def _poly_part_of_quotient(p: UniPoly, s: LaurentSeries, q: UniPoly) -> UniPoly:
-    """Polynomial part of (p + s)/q, all arithmetic exact down to t^0."""
-    fld = p.field
-    top = max(p.deg if not p.is_zero() else s.lead, s.lead)
-    num = {}
-    for e in range(s.precision, top + 1):
-        c = s.coeff(e) if e <= s.lead else 0
-        if not p.is_zero() and 0 <= e <= p.deg:
-            c = (c + p.coeff(e)) % fld.p
-        if c:
-            num[e] = c
-    dq = q.deg
-    lcq_inv = fld.inv(q.lc)
-    out = {}
-    for e in range(int(top - dq), -1, -1):
-        c = num.get(e + dq, 0)
-        if c == 0:
-            continue
-        c = c * lcq_inv % fld.p
-        out[e] = c
-        for j, qc in enumerate(q.coeffs):
-            if qc:
-                ix = e + j
-                num[ix] = (num.get(ix, 0) - c * qc) % fld.p
-    width = max(out) + 1 if out else 0
-    co = [out.get(i, 0) for i in range(width)]
-    return UniPoly(fld, co)
+    return UniPoly(fld, cs[::-1])
 
 
 @dataclass(frozen=True)
@@ -172,7 +64,8 @@ class PellInstance:
             raise ValueError("beta needs even degree")
         if fld.sqrt(self.beta.lc) is None:
             raise ValueError("beta needs a square leading coefficient")
-        if _poly_sqrt(self.beta) is not None:
+        root = _floor_sqrt(self.beta)
+        if root * root == self.beta:
             raise ValueError("beta is a perfect square")
 
     @property
@@ -186,23 +79,6 @@ class PellInstance:
         return self.norm(x, y) == self.gamma
 
 
-def _poly_sqrt(f: UniPoly):
-    """Exact square root in F_q[t], or None."""
-    if f.is_zero():
-        return UniPoly.zero(f.field)
-    if f.deg % 2:
-        return None
-    fld = f.field
-    c0 = fld.sqrt(f.lc)
-    if c0 is None:
-        return None
-    s = sqrt_series(f, f.deg + 1)
-    if s.precision > 0:
-        return None
-    cand = s.poly_part()
-    return cand if cand * cand == f else None
-
-
 CF_GUARD = 20_000
 
 
@@ -211,17 +87,19 @@ def continued_fraction_unit(beta: UniPoly):
 
     Standard quadratic-surd recurrence for sqrt(beta): the convergents of
     the continued fraction hit the fundamental unit at the end of the first
-    quasi-period.
+    quasi-period.  Each partial quotient floor((P + sqrt(beta))/Q) is the
+    polynomial floor division (P + A) // Q, A = _floor_sqrt(beta), because
+    sqrt(beta) - A has negative degree.
     """
     fld = beta.field
-    inst_check = PellInstance(beta, UniPoly.one(fld))  # validates beta
-    s = sqrt_series(beta, 3 * beta.deg + 12)
+    PellInstance(beta, UniPoly.one(fld))  # validates beta
+    root = _floor_sqrt(beta)
     zero, one = UniPoly.zero(fld), UniPoly.one(fld)
     P, Q = zero, one
     p_prev, p_prev2 = one, zero
     q_prev, q_prev2 = zero, one
     for _ in range(CF_GUARD):
-        a = _poly_part_of_quotient(P, s, Q)
+        a = (P + root) // Q
         p_cur = a * p_prev + p_prev2
         q_cur = a * q_prev + q_prev2
         if not q_cur.is_zero():
@@ -306,13 +184,11 @@ def _sort_key(pair):
     return (max(hx, hy), str(x), str(y))
 
 
-def pell_solutions(
-    inst: PellInstance, b: int, cross_check: bool = True
-) -> PellSolutionSet:
+def pell_solutions(inst: PellInstance, b: int) -> PellSolutionSet:
     """Complete set of solutions of height <= b, by coefficient enumeration.
 
-    cross_check regenerates the unit orbit of every solution and verifies it
-    stays inside the enumerated set (up to the height cut).
+    The unit orbit of every solution is regenerated and must stay inside the
+    enumerated set (up to the height cut).
     """
     fld = inst.field
     ring = PolyRing(fld)
@@ -333,7 +209,7 @@ def pell_solutions(
             raise AssertionError("enumerated point fails the norm identity")
         sols.add((sx, sy))
     unit = continued_fraction_unit(inst.beta)
-    if cross_check and sols:
+    if sols:
         w = _norm_one_unit(inst.beta, unit)
         for seed in list(sols):
             orbit = unit_orbit(inst, seed, b, w=w)
@@ -384,9 +260,6 @@ def pell_family(n: int, q: int):
     if q <= n:
         raise ValueError("need q > n")
     beta = family_beta(fld)
-    if n == 0:
-        inst = PellInstance(beta, UniPoly.one(fld))
-        return pell_solutions(inst, 1).solutions
     base = []
     for i in range(1, n + 1):
         fs = _factor_solution(fld, i)
@@ -416,8 +289,11 @@ def pell_family(n: int, q: int):
 
 
 def find_family_prime(n: int, qmax: int = 200) -> int:
-    """Smallest odd prime q > n for which all n base solutions exist."""
-    for q in range(max(3, n + 1), qmax + 1):
+    """Smallest prime q > n for which all n base solutions exist.
+
+    The search starts at 5: over F_3, t^2 + t + 1 = (t + 2)^2 is a square.
+    """
+    for q in range(max(5, n + 1), qmax + 1):
         if not is_prime(q):
             continue
         fld = PrimeField(q)

@@ -112,6 +112,14 @@ def test_pell_family(capsys):
     assert lines[0]["count"] == 2
 
 
+@pytest.mark.parametrize("qargs", [(), ("--q", "5")], ids=["searched-q", "q5"])
+def test_pell_family_n0_is_one_solution(capsys, qargs):
+    code, lines, _ = run(capsys, "pell", "family", "--n", "0", *qargs)
+    assert code == 0
+    assert lines[0]["q"] == 5
+    assert lines[0]["solutions"] == [["1", "0"]]
+
+
 def test_groebner_dim(capsys):
     code, lines, _ = run(
         capsys, "groebner", "dim", "--eq", "x^2 - y", "--names", "x,y"
@@ -223,6 +231,17 @@ def test_stderr_is_human_stdout_is_json(capsys):
 )
 def test_bad_input_exits_2_with_parse_error(capsys, argv):
     code, lines, _ = run(capsys, *argv)
+    assert code == USAGE_ERROR
+    assert lines[-1]["error"] and lines[-1]["kind"] == "parse"
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    ['[["t"], [1]]', '{"a": 1}', "[]", "[[]]", '["t"]', '"t"'],
+    ids=["int-entry", "object", "no-rows", "empty-row", "row-not-list", "string"],
+)
+def test_lattice_matrix_shape_exits_2(capsys, matrix):
+    code, lines, _ = run(capsys, "lattice", "height", "--matrix", matrix, "--q", "5")
     assert code == USAGE_ERROR
     assert lines[-1]["error"] and lines[-1]["kind"] == "parse"
 

@@ -196,7 +196,7 @@ def test_minors_gcd_valuation_matches_direct():
 
 def brute_exponent(points, basis, prime):
     """Independent oracle: valuation of the gcd of all s x s minors."""
-    rows = build_eval_matrix(points, basis).entries
+    rows = build_eval_matrix(points, basis)
     return minors_gcd_valuation(rows, len(points), prime)
 
 

@@ -5,15 +5,14 @@ import time
 import pytest
 
 from ffheight.pell import (
-    LaurentSeries,
     PellInstance,
+    _floor_sqrt,
     continued_fraction_unit,
     family_beta,
     family_gamma,
     find_family_prime,
     pell_family,
     pell_solutions,
-    sqrt_series,
     unit_orbit,
 )
 from ffheight.parsing import parse_unipoly
@@ -40,37 +39,46 @@ def brute_solutions(inst, b):
     return out
 
 
-def test_laurent_series_arithmetic():
-    t2 = LaurentSeries.from_poly(T("t^2 + 1"), floor=-3)
-    prod = t2 * t2
-    assert prod.coeff(4) == 1
-    assert prod.coeff(2) == 2
-    assert prod.coeff(0) == 1
-    diff = prod - prod
-    assert diff.vanishes()
+def admissible_betas(q, deg):
+    """Every beta of degree deg over F_q with a square leading coefficient
+    that is not itself a square in F_q[t]."""
+    fld = PrimeField(q)
+    lcs = sorted({a * a % q for a in range(1, q)})
+    squares = set()
+    for lc in lcs:
+        r = fld.sqrt(lc)
+        for low in itertools.product(range(q), repeat=deg // 2):
+            s = UniPoly(fld, list(low) + [r])
+            squares.add(s * s)
+    for lc in lcs:
+        for low in itertools.product(range(q), repeat=deg):
+            beta = UniPoly(fld, list(low) + [lc])
+            if beta not in squares:
+                yield beta
 
 
-def test_laurent_poly_part():
-    s = LaurentSeries(F5, 1, [1, 0, 3, 2])  # t + 3 t^-1 + 2 t^-2
-    assert s.poly_part() == T("t")
+def test_floor_sqrt_is_polynomial_part_of_sqrt():
+    # deg(beta - A^2) < deg A and lc A = sqrt(lc beta) fix A uniquely: they
+    # say sqrt(beta) - A has negative degree in F_q((1/t))
+    for q in (3, 5, 7):
+        fld = PrimeField(q)
+        for deg in (2, 4):
+            n = 0
+            for beta in admissible_betas(q, deg):
+                A = _floor_sqrt(beta)
+                assert (beta - A * A).deg < A.deg, (q, str(beta), str(A))
+                assert A.lc == fld.sqrt(beta.lc), (q, str(beta), str(A))
+                n += 1
+            assert n == (q - 1) // 2 * (q**deg - q ** (deg // 2))
 
 
-def test_sqrt_series_squares_back():
-    for beta_str in ("t^2 - 1", "t^2 + t", "t^4 + t + 1", "4*t^2 + 1"):
-        beta = T(beta_str)
-        s = sqrt_series(beta, 12)
-        err = s * s - LaurentSeries.from_poly(beta, floor=2 * s.precision)
-        for e in range(2 * s.lead, err.precision - 1, -1):
-            assert err.coeff(e) == 0, (beta_str, e)
-
-
-def test_sqrt_series_rejects_bad_input():
+def test_floor_sqrt_rejects_bad_input():
     with pytest.raises(ValueError):
-        sqrt_series(T("t^3"), 5)  # odd degree
+        _floor_sqrt(T("t^3"))  # odd degree
     with pytest.raises(ValueError):
-        sqrt_series(T("2*t^2"), 5)  # 2 is not a square mod 5
+        _floor_sqrt(T("2*t^2"))  # 2 is not a square mod 5
     with pytest.raises(ValueError):
-        sqrt_series(UniPoly(PrimeField(2), [1, 0, 1]), 5)
+        _floor_sqrt(UniPoly(PrimeField(2), [1, 0, 1]))
 
 
 def test_nonresidue_leading_coefficient_rejected_fast_over_large_prime():
@@ -78,7 +86,7 @@ def test_nonresidue_leading_coefficient_rejected_fast_over_large_prime():
     beta = T("5*t^2 + 1", F)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="leading coefficient"):
-        sqrt_series(beta, 5)
+        _floor_sqrt(beta)
     with pytest.raises(ValueError, match="square leading coefficient"):
         PellInstance(beta, UniPoly.one(F))
     assert time.perf_counter() - start < 1.0
@@ -104,6 +112,32 @@ def test_continued_fraction_fundamental_unit():
     n = u * u - T("t^4 + t + 1") * v * v
     assert n.deg == 0
     assert not v.is_zero()
+
+
+def test_fundamental_unit_is_minimal_for_quartics_over_f3():
+    # brute force: no v != 0 of smaller degree than v0 makes beta v^2 + c a
+    # square u^2 for a constant c != 0; squares come from a table of u^2
+    F3 = PrimeField(3)
+    polys = {
+        d: [UniPoly(F3, list(co)) for co in itertools.product(range(3), repeat=d + 1)]
+        for d in range(7)
+    }
+    squares = {u * u for u in polys[6]}
+    consts = (UniPoly.const(F3, 1), UniPoly.const(F3, 2))
+    betas = list(admissible_betas(3, 4))
+    assert len(betas) == 72
+    unit_degs = set()
+    for beta in betas:
+        u0, v0 = continued_fraction_unit(beta)
+        norm = u0 * u0 - beta * v0 * v0
+        assert norm.deg == 0 and not v0.is_zero()
+        unit_degs.add(u0.deg)
+        for v in polys[v0.deg - 1] if v0.deg > 0 else ():
+            if v.is_zero():
+                continue
+            for c in consts:
+                assert beta * v * v + c not in squares, (str(beta), str(v), str(c))
+    assert min(unit_degs) == 2 and max(unit_degs) == 7
 
 
 def test_unit_orbit_preserves_norm():
@@ -172,6 +206,13 @@ def test_family_prime_reports_search():
     assert q > 1
     sols = pell_family(1, q)
     assert len(sols) == 2
+
+
+def test_family_n0_is_the_trivial_solution():
+    # q = 3 is skipped: there t^2 + t + 1 = (t + 2)^2 is a square
+    assert find_family_prime(0) == 5
+    assert pell_family(0, 5) == ((UniPoly.one(F5), UniPoly.zero(F5)),)
+    assert [find_family_prime(n) for n in (1, 2, 3)] == [11, 47, 131]
 
 
 def test_family_needs_large_enough_prime():
