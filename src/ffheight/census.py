@@ -9,7 +9,8 @@ solutions.  Three paths:
 * plain: breadth-first enumeration over the coefficient variables in a
   greedy order, pruning with every equation as soon as its support is
   complete.  Also the streaming path (actual points, open conditions,
-  primitivity).
+  primitivity); for projective X it enumerates one representative per
+  F_q^* orbit, the rows whose first nonzero value is 1.
 * blocks: when a set L of variables appears in every monomial with joint
   degree at most 1, the system is linear in L over the rest.  Split the
   rest into A (coupled to L) and B; each A-assignment (an A-fiber) gives
@@ -145,12 +146,15 @@ def _greedy_order(compiled, pool):
     return order
 
 
-def _bfs_enumerate(compiled, pool, q, budget, stats):
+def _bfs_enumerate(compiled, pool, q, budget, stats, orbits=False):
     """All assignments of the pool satisfying the compiled (nonconstant)
     equations, whose supports lie in the pool.
 
-    Returns (array rows x len(order), var -> column).  The pool's variables
-    outside every support are enumerated last.
+    Returns (array rows x len(order), var -> column), rows in lexicographic
+    order of the enumeration.  The pool's variables outside every support
+    are enumerated last.  With orbits set (homogeneous equations only), a
+    row is kept only while its first nonzero value in enumeration order is
+    1: one representative per F_q^* orbit, and no zero row.
     """
     active = set().union(*(support for _, support in compiled))
     order = _greedy_order(compiled, active) + sorted(set(pool) - active)
@@ -159,6 +163,7 @@ def _bfs_enumerate(compiled, pool, q, budget, stats):
         for i, (_, support) in enumerate(compiled)
     }
     arr = np.empty((1, 0), dtype=np.int16)
+    seen = np.zeros(1, dtype=bool)  # orbits: the row has a nonzero value
     pos = {}
     base = np.arange(q, dtype=np.int16).reshape(-1, 1)
     for step, v in enumerate(order):
@@ -170,14 +175,22 @@ def _bfs_enumerate(compiled, pool, q, budget, stats):
                 estimate=rows * q ** (len(order) - step),
             )
         arr = np.hstack([np.repeat(arr, q, axis=0), np.tile(base, (rows, 1))])
+        if orbits:
+            seen = np.repeat(seen, q)
+            keep = seen | (arr[:, -1] <= 1)
+            arr, seen = arr[keep], (seen | (arr[:, -1] != 0))[keep]
         pos[v] = step
         for i, (terms, _) in enumerate(compiled):
             if done_at.get(i) != step:
                 continue
-            vals = _eval_terms(terms, {u: arr[:, pos[u]] for u in pos}, q)
-            arr = arr[vals == 0]
+            zero = _eval_terms(terms, {u: arr[:, pos[u]] for u in pos}, q) == 0
+            arr = arr[zero]
+            if orbits:
+                seen = seen[zero]
         if arr.shape[0] == 0:
             break
+    if orbits:
+        arr = arr[seen]
     return arr, pos
 
 
@@ -205,6 +218,11 @@ def _linear_block(compiled, active):
         worst = max(conflict.items(), key=lambda kv: (kv[1], kv[0]))[0]
         block.discard(worst)
     return block
+
+
+def _inverse_table(q):
+    """inv[x] = x^-1 mod q and inv[0] = 0: the table `_gauss_jordan` takes."""
+    return np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
 
 
 def _gauss_jordan(aug, ncols, q, inv):
@@ -309,7 +327,7 @@ def _block_count(compiled, block, q, budget, stats) -> int:
 
     # per chunk of fibers: [M | I] -> rank and left null space N; the
     # constraint rows N G reduced to RREF name the fiber's B-subspace
-    inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
+    inv = _inverse_table(q)
     ncons = {}  # RREF bytes -> number of B-points satisfying its rows
     null_keys = set()
     null_fibers = 0
@@ -442,8 +460,12 @@ def count_points(X: VarietySpec, b: int, budget: int = DEFAULT_BUDGET) -> CountR
 
 
 def point_stream(X: VarietySpec, b: int, budget: int = DEFAULT_BUDGET, stats=None):
-    """Materialize the points themselves (one representative per orbit for
-    projective X).  Meant for fixture-sized instances."""
+    """Materialize the points themselves.  Meant for fixture-sized instances.
+
+    For projective X the enumeration visits one representative per F_q^*
+    orbit only; each is rescaled so that its first nonzero coefficient in
+    flat variable order is 1, and only primitive points are kept.
+    """
     q = X.base_field.p
     _check_q(q)
     if stats is None:
@@ -453,7 +475,10 @@ def point_stream(X: VarietySpec, b: int, budget: int = DEFAULT_BUDGET, stats=Non
     compiled = _compile_system(S.equations, q)
     if compiled is None:
         return []
-    arr, pos = _bfs_enumerate(compiled, range(S.nvars), q, budget, stats)
+    projective = X.ambient == PROJECTIVE
+    arr, pos = _bfs_enumerate(
+        compiled, range(S.nvars), q, budget, stats, orbits=projective
+    )
     if arr.shape[0] == 0:
         return []
     cols = {v: arr[:, pos[v]] for v in range(S.nvars)}
@@ -466,22 +491,23 @@ def point_stream(X: VarietySpec, b: int, budget: int = DEFAULT_BUDGET, stats=Non
     arr = arr[keep]
     # back to natural variable order
     perm = [pos[v] for v in range(S.nvars)]
+    if projective and arr.shape[0]:
+        flat = arr[:, perm]
+        lead = flat[np.arange(arr.shape[0]), np.argmax(flat != 0, axis=1)]
+        units, which = np.unique(lead, return_inverse=True)
+        scale = np.array([pow(int(u), -1, q) for u in units], dtype=np.int32)
+        arr = arr.astype(np.int32) * scale[which][:, None] % q
+        # the enumeration's lexicographic order, over the rescaled rows
+        arr = arr[np.lexsort(arr.T[::-1])]
     arr = arr[:, perm]
     points = []
-    if X.ambient == PROJECTIVE:
-        flat_nonzero = arr != 0
-        first = np.argmax(flat_nonzero, axis=1)
-        is_zero_row = ~flat_nonzero.any(axis=1)
-        lead = arr[np.arange(arr.shape[0]), first]
-        arr = arr[(lead == 1) & ~is_zero_row]  # one representative per orbit
-        for row in arr.tolist():
-            pt = S.to_point(row)
+    for row in arr.tolist():
+        pt = S.to_point(row)
+        if projective:
             g = uni_content(pt.coords)
-            if g is not None and g.deg == 0:
-                points.append(pt)
-    else:
-        for row in arr.tolist():
-            points.append(S.to_point(row))
+            if g is None or g.deg != 0:
+                continue
+        points.append(pt)
     return points
 
 

@@ -349,7 +349,12 @@ def _to_field_poly(g, fld, text):
 
 def _default_budget():
     env = os.environ.get("FFHEIGHT_BUDGET")
-    return int(env) if env else census.DEFAULT_BUDGET
+    if not env:
+        return census.DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"FFHEIGHT_BUDGET must be an integer, got {env!r}") from None
 
 
 def build_parser():
@@ -442,9 +447,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         # argparse exits 2 on usage errors already; normalize other codes
         return USAGE_ERROR if e.code not in (0, None) else 0
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-        args.budget = _default_budget()
     try:
+        if getattr(args, "budget", None) is None and hasattr(args, "budget"):
+            args.budget = _default_budget()
         return args.fn(args)
     except ParseError as e:
         return _fail(str(e), USAGE_ERROR, kind="parse")

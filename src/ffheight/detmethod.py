@@ -5,7 +5,10 @@ p-adic divisibility on the determinants of monomial evaluation matrices.
 Once the matrix loses full column rank over K, its kernel holds a form g
 that vanishes on every class point; as soon as the kernel is bigger than
 the space of multiples of the defining equation f, some kernel element is
-coprime to f.  We search the degree M incrementally until that happens.
+coprime to f.  We search the degree M incrementally until that happens;
+a degree is skipped without elimination over O_K when the rank of the
+matrix mod t - alpha, for one of a few residues alpha, already shows that
+the kernel is too small.
 Every entry stays a polynomial.  The elimination (`_IncrementalRREF`) is a
 fraction-free RREF over O_K whose kernel vectors come out primitive; it
 lives in `lattices`, which computes kernel lattices with it.  The
@@ -21,11 +24,15 @@ from math import comb, factorial, inf
 
 import numpy as np
 
-from .census import DEFAULT_BUDGET, point_stream
+from .census import DEFAULT_BUDGET, _gauss_jordan, _inverse_table, point_stream
 from .lattices import _IncrementalRREF
 from .multipoly import MultiPoly, prime_residue, reduce_mod
 from .rings import PolyRing, UniPoly
 from .varieties import HeightPoint, VarietySpec, default_names
+
+
+# residues alpha = 0, 1, ... whose ranks mod t - alpha may certify a skip
+_CERT_RESIDUES = 8
 
 
 class DegreeBudgetError(RuntimeError):
@@ -358,13 +365,42 @@ class AuxPolyResult:
         }
 
 
+def _residue_powers(points, q, m_max):
+    """pows[a, i, k, e] = (coordinate k of point i at t = a)^e mod q, for
+    a < min(q, _CERT_RESIDUES) and e <= m_max."""
+    vals = np.array(
+        [
+            [[c.eval_at(a) for c in coords] for coords in points]
+            for a in range(min(q, _CERT_RESIDUES))
+        ],
+        dtype=np.int64,
+    )
+    pows = np.ones(vals.shape + (m_max + 1,), dtype=np.int64)
+    for e in range(1, m_max + 1):
+        pows[..., e] = pows[..., e - 1] * vals % q
+    return pows
+
+
+def _residue_rank(pows, basis, q, inv):
+    """The largest rank of the evaluation matrix mod t - a over the
+    tabulated residues a: a lower bound for its rank over K, since a minor
+    that is nonzero mod t - a is nonzero."""
+    exps = np.array(basis.monomials)
+    mats = np.ones(pows.shape[:2] + (len(basis),), dtype=np.int64)
+    for k in range(basis.nvars):
+        mats = mats * pows[:, :, k][..., exps[:, k]] % q
+    return int(_gauss_jordan(mats, len(basis), q, inv).max())
+
+
 def _search_kernel(points, d, nvars, ring, b, m_max, accept):
     """Incremental M from d: the first degree with an accepted kernel element.
 
     A degree is skipped as soon as the rank reaches |B[M]| - |B[M-d]|: the
-    kernel can then no longer outgrow f * B[M-d].  Otherwise each kernel
-    vector, cleared to a primitive g, goes to accept(g, M, rank, kernel_dim,
-    s_target), which returns the result or None to try the next one.
+    kernel can then no longer outgrow f * B[M-d].  The ranks mod t - a for
+    a few residues a certify most skips without elimination over F_q[t].
+    Otherwise each kernel vector, cleared to a primitive g, goes to
+    accept(g, M, rank, kernel_dim, s_target), which returns the result or
+    None to try the next one.
     """
     if m_max is None:
         # rank never exceeds the number of points, so the search is
@@ -372,9 +408,17 @@ def _search_kernel(points, d, nvars, ring, b, m_max, accept):
         m_max = max(2 * d + 6, d * (b + 2))
         while basis_size(m_max, nvars) - basis_size(m_max - d, nvars) <= len(points):
             m_max += 1
+    q = ring.base.p
+    if points:
+        # the points come from point_stream, so q <= census.MAX_Q and the
+        # products of two residues fit in int64
+        pows = _residue_powers(points, q, m_max)
+        inv = _inverse_table(q)
     for M in range(d, m_max + 1):
         basis = monomial_basis(M, nvars)
         target = len(basis) - basis_size(M - d, nvars)
+        if points and _residue_rank(pows, basis, q, inv) >= target:
+            continue
         rref = _IncrementalRREF(len(basis), ring.base)
         for coords in points:
             rref.add(basis.evaluate_row(coords))
@@ -414,6 +458,9 @@ def auxiliary_poly_projective(
         raise ValueError("constant f")
     f = f.primitive_part()
     nvars = f.nvars
+    for datum in data:
+        if not any(c % ring.base.p for c in datum.point):
+            raise ValueError("projective residue point cannot be all zero mod q")
     data = tuple(datum.resolved(f) for datum in data)
     X = VarietySpec("projective", default_names("projective", nvars - 1), (f,))
     pts = congruence_class(X, b, data, budget=budget)

@@ -114,6 +114,58 @@ def test_point_stream_projective_primitive_reps():
         assert [str(c) for c in g.coords] == [str(c) for c in pt.coords]
 
 
+# ordered streams of the whole-cone enumeration, which the orbit enumeration
+# must reproduce point for point
+PINNED_STREAMS = [
+    (
+        ["t*x^2 - y*z"], (), 3, 2,
+        "(0 : 0 : 1)|(1 : t : 1)|(1 : 2*t : 2)|(0 : 1 : 0)|(1 : 1 : t)|(1 : 2 : 2*t)",
+    ),
+    (
+        ["x^2 - y*z"], (), 3, 3,
+        "(0 : 0 : 1)|(t : t^2 : 1)|(2*t^2 + t : t^2 : t^2 + t + 1)"
+        "|(t^2 + t : t^2 : t^2 + 2*t + 1)|(t : 2*t^2 : 2)"
+        "|(t^2 + t : 2*t^2 : 2*t^2 + t + 2)|(2*t^2 + t : 2*t^2 : 2*t^2 + 2*t + 2)"
+        "|(0 : 1 : 0)|(t : 1 : t^2)|(2*t^2 + t : t^2 + t + 1 : t^2)"
+        "|(t^2 + t : t^2 + 2*t + 1 : t^2)|(t : 2 : 2*t^2)"
+        "|(t^2 + t : 2*t^2 + t + 2 : 2*t^2)|(2*t^2 + t : 2*t^2 + 2*t + 2 : 2*t^2)"
+        "|(1 : 1 : 1)|(2*t^2 + 1 : t^2 + t + 1 : t^2 + 2*t + 1)"
+        "|(2*t^2 + 1 : t^2 + 2*t + 1 : t^2 + t + 1)|(t + 1 : 1 : t^2 + 2*t + 1)"
+        "|(t + 1 : t^2 + 2*t + 1 : 1)|(2*t + 1 : 1 : t^2 + t + 1)"
+        "|(2*t + 1 : t^2 + t + 1 : 1)|(1 : 2 : 2)"
+        "|(2*t^2 + 1 : 2*t^2 + t + 2 : 2*t^2 + 2*t + 2)"
+        "|(2*t^2 + 1 : 2*t^2 + 2*t + 2 : 2*t^2 + t + 2)|(t + 1 : 2 : 2*t^2 + t + 2)"
+        "|(t + 1 : 2*t^2 + t + 2 : 2)|(2*t + 1 : 2 : 2*t^2 + 2*t + 2)"
+        "|(2*t + 1 : 2*t^2 + 2*t + 2 : 2)",
+    ),
+    (
+        ["t*x^2 - y*z"], ("x",), 3, 3,
+        "(1 : t : 1)|(2*t + 1 : t : t^2 + t + 1)|(t + 1 : t : t^2 + 2*t + 1)"
+        "|(1 : 2*t : 2)|(t + 1 : 2*t : 2*t^2 + t + 2)"
+        "|(2*t + 1 : 2*t : 2*t^2 + 2*t + 2)|(1 : 1 : t)"
+        "|(2*t + 1 : t^2 + t + 1 : t)|(t + 1 : t^2 + 2*t + 1 : t)|(1 : 2 : 2*t)"
+        "|(t + 1 : 2*t^2 + t + 2 : 2*t)|(2*t + 1 : 2*t^2 + 2*t + 2 : 2*t)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "eqs, ineqs, q, b, expected",
+    PINNED_STREAMS,
+    ids=["t*x^2-y*z", "x^2-y*z", "t*x^2-y*z,x!=0"],
+)
+def test_point_stream_projective_order_pinned(eqs, ineqs, q, b, expected):
+    X = variety_from_strs("projective", ["x", "y", "z"], eqs, q, ineqs)
+    assert "|".join(str(pt) for pt in point_stream(X, b)) == expected
+
+
+def test_point_stream_projective_visits_one_point_per_orbit():
+    X = variety_from_strs("projective", ["x", "y", "z"], ["x*y - z^2"], 5, ["x + y"])
+    res = count_points(X, 3)
+    assert res.count == 124
+    assert res.stats.visits == 29135
+
+
 def test_budget_exceeded_carries_estimate():
     X = variety_from_strs("affine", ["x", "y", "z"], ["x*y - z^2"], 5)
     with pytest.raises(BudgetExceeded) as e:

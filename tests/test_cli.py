@@ -198,6 +198,28 @@ def test_budget_env_var(capsys, monkeypatch):
     assert lines[-1]["reason"] == "budget"
 
 
+def test_bad_budget_env_var_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("FFHEIGHT_BUDGET", "abc")
+    code, lines, _ = run(
+        capsys, "census", "count", "--eq", "y - x^3", "--b", "2", "--q", "5"
+    )
+    assert code == USAGE_ERROR
+    assert lines[-1]["error"] and "FFHEIGHT_BUDGET" in lines[-1]["reason"]
+
+
+@pytest.mark.parametrize("point", ["0:0:0", "5:5:10"])
+def test_detmethod_aux_zero_residue_point_exits_2(capsys, point):
+    code, lines, _ = run(
+        capsys,
+        "detmethod", "aux",
+        "--f", "x^2 - y*z", "--names", "x,y,z",
+        "--b", "2", "--q", "5",
+        "--class", f"p=1,P={point}",
+    )
+    assert code == USAGE_ERROR
+    assert lines[-1]["error"] and "all zero" in lines[-1]["reason"]
+
+
 def test_value_error_is_usage(capsys):
     # inhomogeneous projective equation
     code, lines, _ = run(

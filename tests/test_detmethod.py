@@ -1,10 +1,13 @@
 import json
 import math
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
+from ffheight import detmethod
 from ffheight.detmethod import (
     AuxPolyResult,
     CongruenceDatum,
@@ -18,7 +21,7 @@ from ffheight.detmethod import (
     mult_at,
     _local_smith_valuations,
 )
-from ffheight.multipoly import unipoly_det
+from ffheight.multipoly import reduce_mod, unipoly_det
 from ffheight.parsing import parse_poly, parse_unipoly
 from ffheight.rings import PolyRing, PrimeField, UniPoly
 from ffheight.varieties import HeightPoint, on_variety, variety_from_strs
@@ -443,3 +446,89 @@ def test_aux_poly_json():
     assert js["M"] == out.M
     assert isinstance(js["g"], str)
     assert js["coprime_to_f"] is True
+
+
+def test_aux_poly_projective_rejects_zero_residue_point():
+    f = P("x^2 - y*z", ["x", "y", "z"])
+    for pt in ((0, 0, 0), (5, 5, 10)):
+        with pytest.raises(ValueError, match="all zero"):
+            auxiliary_poly_projective(f, 2, [CongruenceDatum(T("t - 1"), pt)])
+
+
+def _class_datum(f, q, rng):
+    """A datum at a random t - lam whose residue point lies on f mod t - lam."""
+    fld = f.ring.base
+    lam = rng.randrange(q)
+    prime = UniPoly(fld, [-lam % q, 1])
+    reduced = reduce_mod(f, prime)
+    pts = [
+        pt
+        for pt in product(range(q), repeat=f.nvars)
+        if any(pt) and reduced.evaluate(list(pt)) == 0
+    ]
+    return CongruenceDatum(prime, rng.choice(pts))
+
+
+def _seeded_aux_builds(q):
+    """Projective and affine builds over F_q, with and without a class, as
+    (g, to_json(), certificate) triples."""
+    ring = PolyRing(PrimeField(q))
+    rng = random.Random(f"aux-builds:{q}")
+    out = []
+    for eq in ("x^2 - y*z", "x^3 - y^2*z", "t*x^2 - y*z"):
+        f = parse_poly(eq, ["x", "y", "z"], ring)
+        for data in ([], [_class_datum(f, q, rng)]):
+            out.append(auxiliary_poly_projective(f, 2, data))
+    if q == 3:
+        # more points than F_3 can tell apart: some skips need the elimination
+        f = parse_poly("t*x^2 - y*z", ["x", "y", "z"], ring)
+        out.append(auxiliary_poly_projective(f, 3, []))
+    for eq in ("y - x^2", "y^2 - x^3 - 1"):
+        f = parse_poly(eq, ["x", "y"], ring)
+        for data in ([], [_class_datum(f, q, rng)]):
+            seed = rng.randrange(10**6)
+            out.append(auxiliary_poly_affine(f, 2, data, rng=random.Random(seed)))
+    return [
+        (res.g.to_str(), res.to_json(), tuple(str(pt) for pt in res.certificate))
+        for res in out
+    ]
+
+
+def _counted_builds(monkeypatch, q):
+    """The seeded builds, and how often an F_q[t] elimination ran and how
+    often one reached its kernel."""
+    counts = Counter()
+
+    class CountedRREF(detmethod._IncrementalRREF):
+        def __init__(self, width, field):
+            counts["eliminated"] += 1
+            super().__init__(width, field)
+
+        def kernel_basis(self):
+            counts["kernels"] += 1
+            return super().kernel_basis()
+
+    with monkeypatch.context() as m:
+        m.setattr(detmethod, "_IncrementalRREF", CountedRREF)
+        return _seeded_aux_builds(q), counts
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_residue_rank_skips_change_no_answer(monkeypatch, q):
+    fast, fast_n = _counted_builds(monkeypatch, q)
+    # zero ranks certify nothing: every degree goes through the elimination
+    monkeypatch.setattr(
+        detmethod,
+        "_gauss_jordan",
+        lambda aug, ncols, q, inv: np.zeros(len(aug), dtype=np.int64),
+    )
+    slow, slow_n = _counted_builds(monkeypatch, q)
+    assert fast == slow
+    assert fast_n["kernels"] == slow_n["kernels"]
+    certified = slow_n["eliminated"] - fast_n["eliminated"]
+    left_to_elimination = fast_n["eliminated"] - fast_n["kernels"]
+    assert certified >= 0
+    if q == 3:
+        assert left_to_elimination > 0
+    if q == 7:
+        assert certified > 0

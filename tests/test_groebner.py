@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -137,3 +138,52 @@ def test_package_attribute_is_the_module():
 
     assert isinstance(gb, types.ModuleType)
     assert callable(gb.groebner)
+
+
+def _sympy_basis(sp, gens, nvars, p):
+    """sympy's reduced grevlex basis, as sets of (exponents, coefficient mod p)."""
+    xs = sp.symbols(f"x0:{nvars}")
+    exprs = [
+        sum(c * sp.Mul(*(x**k for x, k in zip(xs, e))) for e, c in g.terms.items())
+        for g in gens
+    ]
+    G = sp.groebner(exprs, *xs, modulus=p, order="grevlex")
+    return {frozenset((e, int(c) % p) for e, c in g.terms()) for g in G.polys}
+
+
+def _basis_terms(G):
+    return {frozenset(g.terms.items()) for g in G.gens}
+
+
+def _random_ideal(rng, field, nvars):
+    """2-3 generators of 1-3 terms, total degree at most 5 - nvars."""
+    monos = [
+        e
+        for e in itertools.product(range(6 - nvars), repeat=nvars)
+        if sum(e) <= 5 - nvars
+    ]
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        terms = {rng.choice(monos): rng.randrange(1, field.p) for _ in range(3)}
+        gens.append(MultiPoly(field, nvars, terms))
+    return gens
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_groebner_matches_sympy_reduced_basis(p):
+    sp = pytest.importorskip("sympy")
+    field = PrimeField(p)
+    rng = random.Random(f"groebner-vs-sympy:{p}")
+    x = MultiPoly.var(field, 3, 0)
+    one = MultiPoly.const(field, 3, 1)
+    ideals = [
+        [x, x + one],  # the unit ideal
+        [MultiPoly.zero(field, 3)],  # the zero ideal
+    ]
+    ideals += [_random_ideal(rng, field, rng.choice((2, 3))) for _ in range(20)]
+    for gens in ideals:
+        nvars = gens[0].nvars
+        G = groebner(gens, nvars=nvars, field=field)
+        assert _basis_terms(G) == _sympy_basis(sp, gens, nvars, p), gens
+    assert groebner(ideals[0]).is_unit_ideal
+    assert groebner(ideals[1], nvars=3, field=field).is_zero_ideal
