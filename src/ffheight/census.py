@@ -15,11 +15,11 @@ solutions.  Three paths:
   degree at most 1, the system is linear in L over the rest.  Split the
   rest into A (coupled to L) and B; each A-assignment (an A-fiber) gives
   a matrix M in L and pattern coefficients G.  The fibers are handled a
-  chunk at a time by one batched Gauss-Jordan mod q on the stacked
-  [M | I], which yields every fiber's rank and left null space N.  A
-  fiber of full rank puts no condition on B; for the others a second
-  batched Gauss-Jordan brings the constraint rows N G to their canonical
-  RREF.  The condition on B is that its pattern vector satisfy
+  chunk at a time by one batched Gauss-Jordan mod q (`modq.gauss_jordan`)
+  on the stacked [M | I], which yields every fiber's rank and left null
+  space N.  A fiber of full rank puts no condition on B; for the others a
+  second batched Gauss-Jordan brings the constraint rows N G to their
+  canonical RREF.  The condition on B is that its pattern vector satisfy
   those rows, so fibers are grouped by the bytes of the RREF and one
   matrix product against the precomputed pattern table settles each
   distinct RREF.  A fiber of rank r adds q^(|L| - r) solutions per
@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modq import gauss_jordan
 from .rings import uni_content
 from .varieties import PROJECTIVE, VarietySpec, expand, variety_from_strs
 
@@ -220,49 +221,6 @@ def _linear_block(compiled, active):
     return block
 
 
-def _inverse_table(q):
-    """inv[x] = x^-1 mod q and inv[0] = 0: the table `_gauss_jordan` takes."""
-    return np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int64)
-
-
-def _gauss_jordan(aug, ncols, q, inv):
-    """Reduce a stack of matrices mod q, in place, to RREF on the first
-    ncols columns; the other columns follow the row operations.
-
-    aug has shape (fibers, rows, width) with entries in [0, q), and inv is
-    the table of inverses mod q.  Returns the rank of each matrix's first
-    ncols columns.  Pivot rows are normalised and their columns cleared
-    above and below, so the result is the unique reduced echelon form, with
-    the zero rows at the bottom.
-    """
-    nf, nrows, _ = aug.shape
-    idx = np.arange(nf)
-    rows = np.arange(nrows)
-    rank = np.zeros(nf, dtype=np.int64)
-    for c in range(ncols):
-        cand = (aug[:, :, c] != 0) & (rows >= rank[:, None])
-        has = cand.any(axis=1)
-        if not has.any():
-            continue
-        r = np.minimum(rank, nrows - 1)
-        piv = np.where(has, cand.argmax(axis=1), r)
-        # rows from the rank down are zero left of c, so only columns c..
-        # take part in the swap and the elimination
-        top, low = aug[idx, r, c:], aug[idx, piv, c:]
-        prow = np.where(has[:, None], low * inv[low[:, 0]][:, None] % q, 0)
-        aug[idx, piv, c:] = top
-        aug[idx, r, c:] = np.where(has[:, None], prow, top)
-        f = aug[:, :, c].copy()
-        f[idx, r] = 0
-        right = aug[:, :, c:]
-        right -= f[:, :, None] * prow[:, None, :]
-        right %= q
-        rank += has
-        if rank.min() == nrows:
-            break
-    return rank
-
-
 def _block_count(compiled, block, q, budget, stats) -> int:
     """Count solutions by eliminating the linear block fiberwise."""
     active = set().union(*(s for _, s in compiled))
@@ -327,7 +285,6 @@ def _block_count(compiled, block, q, budget, stats) -> int:
 
     # per chunk of fibers: [M | I] -> rank and left null space N; the
     # constraint rows N G reduced to RREF name the fiber's B-subspace
-    inv = _inverse_table(q)
     ncons = {}  # RREF bytes -> number of B-points satisfying its rows
     null_keys = set()
     null_fibers = 0
@@ -340,7 +297,7 @@ def _block_count(compiled, block, q, budget, stats) -> int:
         for ei in range(ne):
             for li, terms in m_polys[ei].items():
                 aug[:, ei, li] = _eval_terms(terms, acols, q)
-        rank = _gauss_jordan(aug, nl, q, inv)
+        rank = gauss_jordan(aug, nl, q)
         # a fiber of full rank ne puts no condition on B
         sel = np.flatnonzero(rank < ne)
         if sel.size < nf:
@@ -355,7 +312,7 @@ def _block_count(compiled, block, q, budget, stats) -> int:
                 g[:, ei, pj] = _eval_terms(terms, acols, q)
         u = aug[sel, :, nl:] @ g % q
         u[np.arange(ne) < rank[:, None]] = 0
-        urank = _gauss_jordan(u, npat, q, inv).tolist()
+        urank = gauss_jordan(u, npat, q).tolist()
         # keys: the nonzero RREF rows, two bytes per entry as q <= MAX_Q
         u = u.astype(np.uint16)
         keys = [bytes(rows[:k]) for rows, k in zip(u, urank)]

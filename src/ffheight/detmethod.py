@@ -10,8 +10,8 @@ a degree is skipped without elimination over O_K when the rank of the
 matrix mod t - alpha, for one of a few residues alpha, already shows that
 the kernel is too small.
 Every entry stays a polynomial.  The elimination (`_IncrementalRREF`) is a
-fraction-free RREF over O_K whose kernel vectors come out primitive; it
-lives in `lattices`, which computes kernel lattices with it.  The
+fraction-free RREF over O_K whose kernel vectors come out primitive; the
+residue ranks come from the batched elimination in `modq`.  The
 valuations of the minors at t - lambda come from a local Smith form over
 truncated power series F_q[[t]]/(t^N), after the shift t -> t + lambda.
 """
@@ -24,15 +24,17 @@ from math import comb, factorial, inf
 
 import numpy as np
 
-from .census import DEFAULT_BUDGET, _gauss_jordan, _inverse_table, point_stream
-from .lattices import _IncrementalRREF
+from .census import DEFAULT_BUDGET, point_stream
+from .modq import gauss_jordan
 from .multipoly import MultiPoly, prime_residue, reduce_mod
-from .rings import PolyRing, UniPoly
+from .rings import PolyRing, UniPoly, uni_content, uni_gcd, uni_lcm
 from .varieties import HeightPoint, VarietySpec, default_names
 
 
 # residues alpha = 0, 1, ... whose ranks mod t - alpha may certify a skip
 _CERT_RESIDUES = 8
+# random draws for a constant point off an affine variety over a large field
+_OFF_POINT_TRIES = 2000
 
 
 class DegreeBudgetError(RuntimeError):
@@ -81,15 +83,11 @@ class MonomialBasis:
         return out
 
 
-def monomial_basis(degree: int, nvars: int, homogeneous: bool = True) -> MonomialBasis:
+def monomial_basis(degree: int, nvars: int) -> MonomialBasis:
+    """The monomials of total degree exactly `degree` in nvars variables."""
     if degree < 0 or nvars < 1:
         raise ValueError("need degree >= 0 and at least one variable")
-    if homogeneous:
-        monos = tuple(_exponents(degree, nvars))
-    else:
-        monos = tuple(
-            m for d in range(degree + 1) for m in _exponents(d, nvars)
-        )
+    monos = tuple(_exponents(degree, nvars))
     return MonomialBasis(degree=degree, nvars=nvars, monomials=monos)
 
 
@@ -337,6 +335,88 @@ def divisibility_exponent(
 
 
 # ---------------------------------------------------------------------------
+# fraction-free elimination over O_K
+# ---------------------------------------------------------------------------
+
+
+class _IncrementalRREF:
+    """Fraction-free Gauss-Jordan over O_K, one row at a time.
+
+    Each stored row is primitive and fully reduced: zero at every other
+    pivot column.  Up to a factor in K it is the row of the RREF over K, so
+    the pivot columns and the kernel are those of the matrix over K.
+    """
+
+    def __init__(self, width: int, field):
+        self.width = width
+        self.field = field
+        self.rows = {}  # pivot col -> primitive fully reduced row (list of UniPoly)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def add(self, row) -> bool:
+        row = list(row)
+        for col in sorted(self.rows):
+            if not row[col].is_zero():
+                row = _eliminate(row, self.rows[col], col)
+        lead = next((j for j in range(self.width) if not row[j].is_zero()), None)
+        if lead is None:
+            return False
+        row = _primitive(row)
+        for col, other in self.rows.items():
+            if not other[lead].is_zero():
+                self.rows[col] = _primitive(_eliminate(other, row, lead))
+        self.rows[lead] = row
+        return True
+
+    def kernel_basis(self):
+        """One kernel vector per free column, in column order: the primitive
+        vector that is zero at the other free columns and monic at its own.
+        The RREF is canonical, so the basis depends only on the row space."""
+        free = [j for j in range(self.width) if j not in self.rows]
+        zero, one = UniPoly.zero(self.field), UniPoly.one(self.field)
+        basis = []
+        for j in free:
+            # over K the vector is 1 at j and -row[j] / row[col] at each
+            # pivot col; scale by the lcm of those fractions' denominators
+            parts = {}
+            den = one
+            for col, row in self.rows.items():
+                if not row[j].is_zero():
+                    g = uni_gcd(row[col], row[j])
+                    parts[col] = (row[j].divexact(g), row[col].divexact(g))
+                    den = uni_lcm(den, parts[col][1])
+            vec = [zero] * self.width
+            vec[j] = den
+            for col, (num, d) in parts.items():
+                vec[col] = -(num * den.divexact(d))
+            basis.append(vec)
+        return basis
+
+
+def _eliminate(row, piv, col):
+    """Clear row[col] against piv: (a/g) row - (c/g) piv with a = piv[col],
+    c = row[col] and g = gcd(a, c), or row - (c/a) piv when a is a unit."""
+    a, c = piv[col], row[col]
+    if a.deg == 0:
+        # no multiple of row to form: the zero entries of piv leave it as is
+        c = c.scale(a.field.inv(a.lc))
+        return [x if y.is_zero() else x - y * c for x, y in zip(row, piv)]
+    g = uni_gcd(a, c)
+    if g.deg > 0:
+        a, c = a.divexact(g), c.divexact(g)
+    return [x * a if y.is_zero() else x * a - y * c for x, y in zip(row, piv)]
+
+
+def _primitive(row):
+    """Nonzero row divided by its monic content."""
+    g = uni_content(row)
+    return row if g.deg == 0 else [e.divexact(g) for e in row]
+
+
+# ---------------------------------------------------------------------------
 # the auxiliary polynomial search
 # ---------------------------------------------------------------------------
 
@@ -381,7 +461,7 @@ def _residue_powers(points, q, m_max):
     return pows
 
 
-def _residue_rank(pows, basis, q, inv):
+def _residue_rank(pows, basis, q):
     """The largest rank of the evaluation matrix mod t - a over the
     tabulated residues a: a lower bound for its rank over K, since a minor
     that is nonzero mod t - a is nonzero."""
@@ -389,10 +469,10 @@ def _residue_rank(pows, basis, q, inv):
     mats = np.ones(pows.shape[:2] + (len(basis),), dtype=np.int64)
     for k in range(basis.nvars):
         mats = mats * pows[:, :, k][..., exps[:, k]] % q
-    return int(_gauss_jordan(mats, len(basis), q, inv).max())
+    return int(gauss_jordan(mats, len(basis), q).max())
 
 
-def _search_kernel(points, d, nvars, ring, b, m_max, accept):
+def _search_kernel(points, d, nvars, ring, b, accept):
     """Incremental M from d: the first degree with an accepted kernel element.
 
     A degree is skipped as soon as the rank reaches |B[M]| - |B[M-d]|: the
@@ -402,22 +482,20 @@ def _search_kernel(points, d, nvars, ring, b, m_max, accept):
     accept(g, M, rank, kernel_dim, s_target), which returns the result or
     None to try the next one.
     """
-    if m_max is None:
-        # rank never exceeds the number of points, so the search is
-        # guaranteed to close once the restricted monomial count passes it
-        m_max = max(2 * d + 6, d * (b + 2))
-        while basis_size(m_max, nvars) - basis_size(m_max - d, nvars) <= len(points):
-            m_max += 1
+    # rank never exceeds the number of points, so the search is
+    # guaranteed to close once the restricted monomial count passes it
+    m_max = max(2 * d + 6, d * (b + 2))
+    while basis_size(m_max, nvars) - basis_size(m_max - d, nvars) <= len(points):
+        m_max += 1
     q = ring.base.p
     if points:
         # the points come from point_stream, so q <= census.MAX_Q and the
         # products of two residues fit in int64
         pows = _residue_powers(points, q, m_max)
-        inv = _inverse_table(q)
     for M in range(d, m_max + 1):
         basis = monomial_basis(M, nvars)
         target = len(basis) - basis_size(M - d, nvars)
-        if points and _residue_rank(pows, basis, q, inv) >= target:
+        if points and _residue_rank(pows, basis, q) >= target:
             continue
         rref = _IncrementalRREF(len(basis), ring.base)
         for coords in points:
@@ -442,7 +520,6 @@ def auxiliary_poly_projective(
     b: int,
     data,
     budget=DEFAULT_BUDGET,
-    m_max: int | None = None,
 ) -> AuxPolyResult:
     """Homogeneous g with f never dividing g, vanishing on the whole
     congruence class of X(b).
@@ -482,10 +559,10 @@ def auxiliary_poly_projective(
             details={"s_target": s_target},
         )
 
-    return _search_kernel([pt.coords for pt in pts], d, nvars, ring, b, m_max, accept)
+    return _search_kernel([pt.coords for pt in pts], d, nvars, ring, b, accept)
 
 
-def _constant_point_off(f: MultiPoly, rng, tries=2000):
+def _constant_point_off(f: MultiPoly, rng):
     fld = f.ring.base
     n = f.nvars
     if fld.p ** n <= 4096:
@@ -496,7 +573,7 @@ def _constant_point_off(f: MultiPoly, rng, tries=2000):
             if not f.evaluate(vals).is_zero():
                 return consts
     else:
-        for _ in range(tries):
+        for _ in range(_OFF_POINT_TRIES):
             consts = tuple(rng.randrange(fld.p) for _ in range(n))
             vals = [UniPoly.const(fld, c) for c in consts]
             if not f.evaluate(vals).is_zero():
@@ -525,7 +602,6 @@ def auxiliary_poly_affine(
     b: int,
     data,
     budget=DEFAULT_BUDGET,
-    m_max: int | None = None,
     rng=None,
 ) -> AuxPolyResult:
     """Affine variant: shift until the constant term survives, homogenize
@@ -614,4 +690,4 @@ def auxiliary_poly_affine(
             },
         )
 
-    return _search_kernel(lifted, d, n + 1, ring, b, m_max, accept)
+    return _search_kernel(lifted, d, n + 1, ring, b, accept)

@@ -4,6 +4,9 @@ An O_K-lattice here is the row module of a full-rank matrix over F[t].  A
 weak Popov basis (rows with pairwise distinct pivot positions) realizes the
 successive minima exactly: the height of any combination sum lam_i v_i is
 max over nonzero lam_i of (deg v_i + deg lam_i), with no defect.
+Heights come from the maximal minors (Bareiss determinants).  Kernels come
+from one unimodular column reduction, which yields a saturated basis with
+no elimination over K and no denominators to clear.
 """
 
 from __future__ import annotations
@@ -11,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .multipoly import unipoly_det
 from .parsing import parse_unipoly
-from .rings import NEG_INF, PrimeField, UniPoly, uni_content, uni_gcd, uni_lcm
+from .rings import NEG_INF, PrimeField, UniPoly, uni_content
 
 
 @dataclass(frozen=True)
@@ -123,6 +125,31 @@ def reduce_basis(M) -> ReducedBasis:
     )
 
 
+def unipoly_det(m):
+    """Fraction-free (Bareiss) determinant of a square UniPoly matrix."""
+    n = len(m)
+    field = m[0][0].field
+    m = [list(r) for r in m]
+    sign = 1
+    prev = UniPoly.one(field)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not m[i][k].is_zero():
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return UniPoly.zero(field)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).divexact(prev)
+            m[i][k] = UniPoly.zero(field)
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
 def plucker_minors(M):
     """All maximal minors of a full-row-rank matrix, as a list of UniPolys."""
     rows = _as_rows(M)
@@ -151,142 +178,45 @@ def lattice_height(M) -> int:
     return int(max(det.deg for det in dets) - g.deg)
 
 
-class _IncrementalRREF:
-    """Fraction-free Gauss-Jordan over O_K, one row at a time.
+def kernel_lattice(A) -> ReducedBasis:
+    """Reduced basis of the saturated kernel {x in O_K^n : A x = 0}.
 
-    Each stored row is primitive and fully reduced: zero at every other
-    pivot column.  Up to a factor in K it is the row of the RREF over K, so
-    the pivot columns and the kernel are those of the matrix over K.
+    Unimodular column operations bring A to (T | 0), T lower triangular,
+    while U tracks them from the identity, so that A U = (T | 0).  The last
+    n - m columns of U span the kernel, and since U is invertible over O_K
+    they span a direct summand: the kernel lattice is already saturated.
     """
-
-    def __init__(self, width: int, field):
-        self.width = width
-        self.field = field
-        self.rows = {}  # pivot col -> primitive fully reduced row (list of UniPoly)
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def add(self, row) -> bool:
-        row = list(row)
-        for col in sorted(self.rows):
-            if not row[col].is_zero():
-                row = _eliminate(row, self.rows[col], col)
-        lead = next((j for j in range(self.width) if not row[j].is_zero()), None)
-        if lead is None:
-            return False
-        row = _primitive(row)
-        for col, other in self.rows.items():
-            if not other[lead].is_zero():
-                self.rows[col] = _primitive(_eliminate(other, row, lead))
-        self.rows[lead] = row
-        return True
-
-    def kernel_basis(self):
-        """One kernel vector per free column, in column order: the primitive
-        vector that is zero at the other free columns and monic at its own.
-        The RREF is canonical, so the basis depends only on the row space."""
-        free = [j for j in range(self.width) if j not in self.rows]
-        zero, one = UniPoly.zero(self.field), UniPoly.one(self.field)
-        basis = []
-        for j in free:
-            # over K the vector is 1 at j and -row[j] / row[col] at each
-            # pivot col; scale by the lcm of those fractions' denominators
-            parts = {}
-            den = one
-            for col, row in self.rows.items():
-                if not row[j].is_zero():
-                    g = uni_gcd(row[col], row[j])
-                    parts[col] = (row[j].divexact(g), row[col].divexact(g))
-                    den = uni_lcm(den, parts[col][1])
-            vec = [zero] * self.width
-            vec[j] = den
-            for col, (num, d) in parts.items():
-                vec[col] = -(num * den.divexact(d))
-            basis.append(vec)
-        return basis
-
-
-def _eliminate(row, piv, col):
-    """Clear row[col] against piv: (a/g) row - (c/g) piv with a = piv[col],
-    c = row[col] and g = gcd(a, c), or row - (c/a) piv when a is a unit."""
-    a, c = piv[col], row[col]
-    if a.deg == 0:
-        # no multiple of row to form: the zero entries of piv leave it as is
-        c = c.scale(a.field.inv(a.lc))
-        return [x if y.is_zero() else x - y * c for x, y in zip(row, piv)]
-    g = uni_gcd(a, c)
-    if g.deg > 0:
-        a, c = a.divexact(g), c.divexact(g)
-    return [x * a if y.is_zero() else x * a - y * c for x, y in zip(row, piv)]
-
-
-def _primitive(row):
-    """Nonzero row divided by its monic content."""
-    g = uni_content(row)
-    return row if g.deg == 0 else [e.divexact(g) for e in row]
-
-
-def _saturate(rows):
-    """Basis of the saturation (K-span intersected with O_K^n) of a row module.
-
-    Column-reduce W to (T | 0) by unimodular column operations, tracking the
-    inverse transform R; W = T * (first k rows of R), and those rows span a
-    direct summand of O_K^n containing the row space, hence the saturation.
-    """
-    w = [list(r) for r in rows]
-    k, n = len(w), len(w[0])
-    fld = w[0][0].field
-    r_mat = [
-        [UniPoly.one(fld) if i == j else UniPoly.zero(fld) for j in range(n)]
-        for i in range(n)
-    ]
-
-    def col_swap(i, j):
-        for row in w:
-            row[i], row[j] = row[j], row[i]
-        r_mat[i], r_mat[j] = r_mat[j], r_mat[i]
-
-    def col_addmul(j, i, f):
-        # col_j += f * col_i; inverse transform: row_i of R -= f * row_j
-        if f.is_zero():
-            return
-        for row in w:
-            row[j] = row[j] + row[i] * f
-        r_mat[i] = [a - b * f for a, b in zip(r_mat[i], r_mat[j])]
-
-    for r in range(k):
+    rows = _as_rows(A)
+    m, n = len(rows), len(rows[0])
+    if m >= n:
+        raise ValueError("need nrows < ncols")
+    fld = rows[0][0].field
+    zero, one = UniPoly.zero(fld), UniPoly.one(fld)
+    # column j of A, and of U, as a list
+    cols = [[r[j] for r in rows] for j in range(n)]
+    ucols = [[one if i == j else zero for i in range(n)] for j in range(n)]
+    for r in range(m):
+        # Euclid across row r: reduce every live entry modulo the one of
+        # least degree until a single one is left, then move it to column r
         while True:
-            live = [c for c in range(r, n) if not w[r][c].is_zero()]
+            live = [c for c in range(r, n) if not cols[c][r].is_zero()]
             if not live:
                 raise ValueError("not full rank")
-            piv = min(live, key=lambda c: w[r][c].deg)
+            piv = min(live, key=lambda c: cols[c][r].deg)
             done = True
             for c in live:
                 if c == piv:
                     continue
-                quo = w[r][c] // w[r][piv]
-                col_addmul(c, piv, -quo)
-                if not w[r][c].is_zero():
+                quo = cols[c][r] // cols[piv][r]
+                cols[c] = [x - y * quo for x, y in zip(cols[c], cols[piv])]
+                ucols[c] = [x - y * quo for x, y in zip(ucols[c], ucols[piv])]
+                if not cols[c][r].is_zero():
                     done = False
             if done:
-                if piv != r:
-                    col_swap(piv, r)
+                cols[r], cols[piv] = cols[piv], cols[r]
+                ucols[r], ucols[piv] = ucols[piv], ucols[r]
                 break
-    return r_mat[:k]
-
-
-def kernel_lattice(A) -> ReducedBasis:
-    """Reduced basis of the saturated kernel {x in O_K^n : A x = 0}."""
-    rows = _as_rows(A)
-    if len(rows) >= len(rows[0]):
-        raise ValueError("need nrows < ncols")
-    rref = _IncrementalRREF(len(rows[0]), rows[0][0].field)
-    for r in rows:
-        if not rref.add(r):
-            raise ValueError("not full rank")
-    return reduce_basis(_saturate(rref.kernel_basis()))
+    return reduce_basis(ucols[m:])
 
 
 def short_kernel_vector(A):

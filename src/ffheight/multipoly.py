@@ -175,9 +175,6 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def coeff_of(self, exps):
-        return self.terms.get(tuple(exps), self.ring.zero)
-
     def constant_coeff(self):
         return self.terms.get((0,) * self.nvars, self.ring.zero)
 
@@ -406,28 +403,3 @@ def reduce_mod(f: MultiPoly, p: UniPoly) -> MultiPoly:
         raise TypeError("reduce_mod needs O_K coefficients")
     lam = prime_residue(p)
     return f.map_coeffs(lambda c: c.eval_at(lam), f.ring.base)
-
-
-def unipoly_det(m):
-    """Fraction-free (Bareiss) determinant of a square UniPoly matrix."""
-    n = len(m)
-    field = m[0][0].field
-    m = [list(r) for r in m]
-    sign = 1
-    prev = UniPoly.one(field)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return UniPoly.zero(field)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).divexact(prev)
-            m[i][k] = UniPoly.zero(field)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det

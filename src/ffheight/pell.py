@@ -80,6 +80,10 @@ class PellInstance:
 
 
 CF_GUARD = 20_000
+# steps of seed * w^k taken in each direction before unit_orbit gives up
+ORBIT_GUARD = 400
+# find_family_prime searches the primes up to this bound
+FAMILY_QMAX = 200
 
 
 def continued_fraction_unit(beta: UniPoly):
@@ -129,7 +133,7 @@ def _mul_pair(beta, a, b):
     return (a[0] * b[0] + beta * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def unit_orbit(inst: PellInstance, seed, b: int, guard: int = 400, w=None):
+def unit_orbit(inst: PellInstance, seed, b: int, w=None):
     """All sign variants of seed * w^k with height <= b."""
     beta = inst.beta
     if w is None:
@@ -144,7 +148,7 @@ def unit_orbit(inst: PellInstance, seed, b: int, guard: int = 400, w=None):
 
     for step_unit in (w, wbar):
         cur = seed
-        for _ in range(guard):
+        for _ in range(ORBIT_GUARD):
             h = max(
                 cur[0].deg if not cur[0].is_zero() else 0,
                 cur[1].deg if not cur[1].is_zero() else 0,
@@ -288,15 +292,15 @@ def pell_family(n: int, q: int):
     return tuple(sorted(sols, key=_sort_key))
 
 
-def find_family_prime(n: int, qmax: int = 200) -> int:
+def find_family_prime(n: int) -> int:
     """Smallest prime q > n for which all n base solutions exist.
 
     The search starts at 5: over F_3, t^2 + t + 1 = (t + 2)^2 is a square.
     """
-    for q in range(max(5, n + 1), qmax + 1):
+    for q in range(max(5, n + 1), FAMILY_QMAX + 1):
         if not is_prime(q):
             continue
         fld = PrimeField(q)
         if all(_factor_solution(fld, i) is not None for i in range(1, n + 1)):
             return q
-    raise ValueError(f"no workable prime below {qmax} for n = {n}")
+    raise ValueError(f"no workable prime below {FAMILY_QMAX} for n = {n}")

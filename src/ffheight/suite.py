@@ -75,18 +75,6 @@ def pell_instance(beta_coeffs, gamma_coeffs, q: int) -> PellInstance:
     )
 
 
-def pell_census_instance(eq: str) -> InstanceSpec:
-    return InstanceSpec(
-        name=f"pell {eq}",
-        ambient="affine",
-        names=("x", "y"),
-        equations=(eq,),
-        inequations=(),
-        dim=0,
-        degree=2,
-    )
-
-
 def curve_instances():
     """The worked curve and graph families."""
     out = []

@@ -21,9 +21,10 @@ from ffheight.detmethod import (
     mult_at,
     _local_smith_valuations,
 )
-from ffheight.multipoly import reduce_mod, unipoly_det
+from ffheight.lattices import unipoly_det
+from ffheight.multipoly import reduce_mod
 from ffheight.parsing import parse_poly, parse_unipoly
-from ffheight.rings import PolyRing, PrimeField, UniPoly
+from ffheight.rings import PolyRing, PrimeField, UniPoly, uni_content
 from ffheight.varieties import HeightPoint, on_variety, variety_from_strs
 
 
@@ -46,11 +47,6 @@ def test_monomial_basis_sizes():
             assert len(B) == math.comb(d + n - 1, n - 1)
             assert all(sum(e) == d for e in B.monomials)
     assert basis_size(-1, 3) == 0
-
-
-def test_monomial_basis_inhomogeneous():
-    B = monomial_basis(2, 2, homogeneous=False)
-    assert len(B) == 6  # 1, x, y, x^2, xy, y^2
 
 
 def test_evaluate_row_matches_direct():
@@ -519,8 +515,8 @@ def test_residue_rank_skips_change_no_answer(monkeypatch, q):
     # zero ranks certify nothing: every degree goes through the elimination
     monkeypatch.setattr(
         detmethod,
-        "_gauss_jordan",
-        lambda aug, ncols, q, inv: np.zeros(len(aug), dtype=np.int64),
+        "gauss_jordan",
+        lambda aug, ncols, q: np.zeros(len(aug), dtype=np.int64),
     )
     slow, slow_n = _counted_builds(monkeypatch, q)
     assert fast == slow
@@ -532,3 +528,43 @@ def test_residue_rank_skips_change_no_answer(monkeypatch, q):
         assert left_to_elimination > 0
     if q == 7:
         assert certified > 0
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_kernel_basis_is_canonical(q):
+    """Each kernel vector is the unique one with A v = 0, zero at the other
+    free columns, monic at its own and content 1."""
+    fld = PrimeField(q)
+    rng = random.Random(20 + q)
+
+    def rand_row(n, maxdeg=3):
+        return [
+            UniPoly(fld, [rng.randrange(q) for _ in range(rng.randrange(maxdeg + 1) + 1)])
+            for _ in range(n)
+        ]
+
+    deficient = 0
+    for trial in range(60):
+        m = rng.randrange(1, 4)
+        n = m + rng.randrange(1, 4)
+        rows = [rand_row(n) for _ in range(m)]
+        if trial % 2:
+            a, b = rand_row(2, maxdeg=1)
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+        rref = detmethod._IncrementalRREF(n, fld)
+        added = [rref.add(r) for r in rows]
+        deficient += rref.rank < len(rows)
+        assert added.count(True) == rref.rank
+        free = [j for j in range(n) if j not in rref.rows]
+        basis = rref.kernel_basis()
+        assert len(basis) == n - rref.rank == len(free)
+        for j, v in zip(free, basis):
+            for r in rows:
+                acc = UniPoly.zero(fld)
+                for a, x in zip(r, v):
+                    acc = acc + a * x
+                assert acc.is_zero()
+            assert all(v[k].is_zero() for k in free if k != j)
+            assert v[j].lc == 1
+            assert uni_content(v).deg == 0
+    assert deficient >= 30

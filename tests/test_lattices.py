@@ -5,7 +5,6 @@ import pytest
 
 from ffheight.lattices import (
     PolyMatrix,
-    _IncrementalRREF,
     kernel_lattice,
     lattice_height,
     linear_space_count,
@@ -14,7 +13,7 @@ from ffheight.lattices import (
     row_height,
     short_kernel_vector,
 )
-from ffheight.rings import PrimeField, UniPoly, uni_content, uni_gcd
+from ffheight.rings import PrimeField, UniPoly, uni_gcd
 
 
 F5 = PrimeField(5)
@@ -130,39 +129,6 @@ def test_kernel_lattice_annihilates():
         checked += 1
 
 
-@pytest.mark.parametrize("q", [5, 7])
-def test_kernel_basis_is_canonical(q):
-    """Each kernel vector is the unique one with A v = 0, zero at the other
-    free columns, monic at its own and content 1."""
-    fld = PrimeField(q)
-    rng = random.Random(20 + q)
-    deficient = 0
-    for trial in range(60):
-        m = rng.randrange(1, 4)
-        n = m + rng.randrange(1, 4)
-        rows = rand_matrix(rng, fld, m, n)
-        if trial % 2:
-            a, b = rand_matrix(rng, fld, 1, 2, maxdeg=1)[0]
-            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
-        rref = _IncrementalRREF(n, fld)
-        added = [rref.add(r) for r in rows]
-        deficient += rref.rank < len(rows)
-        assert added.count(True) == rref.rank
-        free = [j for j in range(n) if j not in rref.rows]
-        basis = rref.kernel_basis()
-        assert len(basis) == n - rref.rank == len(free)
-        for j, v in zip(free, basis):
-            for r in rows:
-                acc = UniPoly.zero(fld)
-                for a, x in zip(r, v):
-                    acc = acc + a * x
-                assert acc.is_zero()
-            assert all(v[k].is_zero() for k in free if k != j)
-            assert v[j].lc == 1
-            assert uni_content(v).deg == 0
-    assert deficient >= 30
-
-
 def test_kernel_height_equals_matrix_height():
     """Row-space and saturated-kernel Plucker heights agree."""
     rng = random.Random(17)
@@ -177,6 +143,49 @@ def test_kernel_height_equals_matrix_height():
         assert lattice_height(list(kb.vectors)) == lattice_height(rows)
         # kernels are saturated, so the minima meet the height exactly
         assert kb.height() == lattice_height(rows)
+        checked += 1
+
+
+def _apply(rows, v):
+    """A v, one UniPoly per row."""
+    out = []
+    for r in rows:
+        acc = UniPoly.zero(v[0].field)
+        for a, x in zip(r, v):
+            acc = acc + a * x
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 11])
+def test_kernel_lattice_over_several_fields(q):
+    """Shapes up to 3 x 6: the basis lies in the kernel, is saturated and
+    reduced (Plucker height of the kernel = that of A = sum of the minima),
+    and a rank-deficient A is refused."""
+    fld = PrimeField(q)
+    rng = random.Random(30 + q)
+    checked = 0
+    while checked < 40:
+        m = rng.randrange(1, 4)
+        n = m + rng.randrange(1, 4)
+        rows = rand_matrix(rng, fld, m, n)
+        # the same shape with its last row a combination of the others
+        if m == 1:
+            deficient = [[UniPoly.zero(fld)] * n]
+        else:
+            a, b = rand_matrix(rng, fld, 1, 2, maxdeg=1)[0]
+            deficient = rows[:-1] + [[a * x + b * y for x, y in zip(rows[0], rows[-2])]]
+        with pytest.raises(ValueError, match="not full rank"):
+            kernel_lattice(deficient)
+        if not full_rank(rows):
+            with pytest.raises(ValueError, match="not full rank"):
+                kernel_lattice(rows)
+            continue
+        kb = kernel_lattice(rows)
+        assert kb.rank == n - m
+        for v in kb.vectors:
+            assert all(e.is_zero() for e in _apply(rows, v))
+        assert lattice_height(list(kb.vectors)) == lattice_height(rows) == kb.height()
         checked += 1
 
 

@@ -19,22 +19,22 @@ def P(text, names=NAMES, ring=OK5):
 def test_simple_difference():
     f = P("y - x^2")
     assert len(f.terms) == 2
-    assert f.coeff_of((0, 1, 0)) == OK5.one
-    assert f.coeff_of((2, 0, 0)) == OK5.from_int(-1)
+    assert f.terms[(0, 1, 0)] == OK5.one
+    assert f.terms[(2, 0, 0)] == OK5.from_int(-1)
 
 
 def test_coefficient_in_t():
     f = P("t*x^2 - y*z")
     t = UniPoly.gen(F5)
-    assert f.coeff_of((2, 0, 0)) == t
-    assert f.coeff_of((0, 1, 1)) == OK5.from_int(-1)
+    assert f.terms[(2, 0, 0)] == t
+    assert f.terms[(0, 1, 1)] == OK5.from_int(-1)
 
 
 def test_parenthesized_t_coefficients():
     f = P("(t^2 + 1)*x + (t - 3)*y")
     t = UniPoly.gen(F5)
-    assert f.coeff_of((1, 0, 0)) == t * t + UniPoly.one(F5)
-    assert f.coeff_of((0, 1, 0)) == t - UniPoly.const(F5, 3)
+    assert f.terms[(1, 0, 0)] == t * t + UniPoly.one(F5)
+    assert f.terms[(0, 1, 0)] == t - UniPoly.const(F5, 3)
 
 
 def test_implicit_products_and_powers():
@@ -46,7 +46,7 @@ def test_implicit_products_and_powers():
 
 def test_unary_minus_and_constants():
     f = P("-x + 4")
-    assert f.coeff_of((1, 0, 0)) == OK5.from_int(4)
+    assert f.terms[(1, 0, 0)] == OK5.from_int(4)
     assert f.constant_coeff() == OK5.from_int(4)
     assert P("-(x - y)") == P("y - x")
 

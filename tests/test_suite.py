@@ -1,12 +1,11 @@
 import random
 
-from ffheight.census import count_points
+from ffheight.census import InstanceSpec, count_points
 from ffheight.suite import (
     PELL_INSTANCES,
     PELL_QS,
     CheckRow,
     curve_instances,
-    pell_census_instance,
     pell_instance,
     random_hypersurfaces,
     run_example_suite,
@@ -64,7 +63,15 @@ def test_pell_instance_helpers():
     eq, bc, gc, expected = PELL_INSTANCES[0]
     inst = pell_instance(bc, gc, 5)
     assert inst.beta.deg == 2
-    census = pell_census_instance(eq)
+    census = InstanceSpec(
+        name=f"pell {eq}",
+        ambient="affine",
+        names=("x", "y"),
+        equations=(eq,),
+        inequations=(),
+        dim=0,
+        degree=2,
+    )
     assert census.dim == 0
     # the census instance counts the same solutions the solver sees
     X = census.variety(5)
