@@ -9,21 +9,30 @@ solutions.  Three paths:
 * plain: breadth-first enumeration over the coefficient variables in a
   greedy order, pruning with every equation as soon as its support is
   complete.  Also the streaming path (actual points, open conditions,
-  primitivity); for projective X it enumerates one representative per
-  F_q^* orbit, the rows whose first nonzero value is 1.
+  primitivity).  A system is homogeneous when every equation's monomials
+  share one total degree, as every projective expansion's do; then its
+  solutions are 0 and whole F_q^* lines, and the enumeration keeps one
+  representative per orbit, the rows whose first nonzero value is 1, so
+  the count is 1 + (q - 1) * representatives.
 * blocks: when a set L of variables appears in every monomial with joint
   degree at most 1, the system is linear in L over the rest.  Split the
   rest into A (coupled to L) and B; each A-assignment (an A-fiber) gives
   a matrix M in L and pattern coefficients G.  The fibers are handled a
-  chunk at a time by one batched Gauss-Jordan mod q (`modq.gauss_jordan`)
-  on the stacked [M | I], which yields every fiber's rank and left null
-  space N.  A fiber of full rank puts no condition on B; for the others a
-  second batched Gauss-Jordan brings the constraint rows N G to their
-  canonical RREF.  The condition on B is that its pattern vector satisfy
-  those rows, so fibers are grouped by the bytes of the RREF and one
-  matrix product against the precomputed pattern table settles each
-  distinct RREF.  A fiber of rank r adds q^(|L| - r) solutions per
-  satisfying B-point.
+  batch at a time, each batch sized to about 1 MiB of working arrays, by
+  one batched Gauss-Jordan mod q (`modq.gauss_jordan`) on the stacked
+  [M | I], which yields every fiber's rank and left null space N.  A
+  fiber of full rank puts no condition on B; for the others a second
+  batched Gauss-Jordan brings the constraint rows N G to their canonical
+  RREF.  The condition on B is that its pattern vector satisfy those
+  rows, so fibers are grouped by the bytes of the RREF and one matrix
+  product against the precomputed pattern table settles each distinct
+  RREF.  A fiber of rank r adds q^(|L| - r) solutions per satisfying
+  B-point.  For a homogeneous system x -> lambda x maps the fiber over A
+  onto the fiber over lambda A, so only the zero A and one A per orbit
+  are eliminated, weighted 1 and q - 1.  When moreover every pattern has
+  one total degree e, (L, B) -> (lambda^e L, lambda B) keeps each
+  fiber's solutions, and the pattern table holds only the zero B and one
+  B per orbit, with the same weights.
 * projective counts run the affine core at every bound m <= b and peel
   content: a nonzero solution is uniquely a monic polynomial times a
   primitive one, and the system is homogeneous, so the primitive counts
@@ -51,7 +60,8 @@ DEFAULT_BUDGET = 10**9
 PLAIN_CUTOFF = 200_000
 # the enumeration stores residues as int16 and multiplies them in int32
 MAX_Q = 32767
-_FIBER_CHUNK = 128  # A-fibers per batched elimination
+# bytes of working arrays per batch of A-fibers: [M | I], G and N G
+_FIBER_BYTES = 1 << 20
 
 
 def _check_q(q):
@@ -195,6 +205,28 @@ def _bfs_enumerate(compiled, pool, q, budget, stats, orbits=False):
     return arr, pos
 
 
+def _homogeneous(compiled):
+    """True when every equation's monomials share one total degree, so the
+    solutions are 0 and a union of F_q^* lines through it."""
+    return all(
+        len({sum(e for _, e in ve) for _, ve in terms}) == 1 for terms, _ in compiled
+    )
+
+
+def _rows(compiled, pool, q, budget, stats, orbits):
+    """The solutions over the pool as (rows, var -> column, weights).  With
+    orbits set (homogeneous systems only) the zero row and then one
+    representative per F_q^* orbit, weighted 1 and q - 1; else every
+    solution, weighted 1."""
+    arr, pos = _bfs_enumerate(compiled, pool, q, budget, stats, orbits=orbits)
+    if not orbits:
+        return arr, pos, np.ones(arr.shape[0], dtype=np.int64)
+    arr = np.vstack([np.zeros((1, arr.shape[1]), dtype=arr.dtype), arr])
+    weight = np.full(arr.shape[0], q - 1, dtype=np.int64)
+    weight[0] = 1
+    return arr, pos, weight
+
+
 # ---------------------------------------------------------------------------
 # linear-block fast path
 # ---------------------------------------------------------------------------
@@ -221,8 +253,10 @@ def _linear_block(compiled, active):
     return block
 
 
-def _block_count(compiled, block, q, budget, stats) -> int:
-    """Count solutions by eliminating the linear block fiberwise."""
+def _block_count(compiled, block, q, budget, stats, homogeneous) -> int:
+    """Count solutions by eliminating the linear block fiberwise; for a
+    homogeneous system one A per F_q^* orbit, and one B per orbit when
+    every pattern has one total degree (see the module docstring)."""
     active = set().union(*(s for _, s in compiled))
     a_vars = set()
     for terms, _ in compiled:
@@ -241,15 +275,6 @@ def _block_count(compiled, block, q, budget, stats) -> int:
             b_only.append((terms, support))
         else:
             system.append((terms, support))
-
-    xb, bpos = _bfs_enumerate(b_only, b_list, q, budget, stats)
-    xa, apos = _bfs_enumerate(a_only, a_list, q, budget, stats)
-    na, nb = xa.shape[0], xb.shape[0]
-    if na == 0 or (b_list and nb == 0):
-        return 0
-    stats.visits += na
-    if stats.visits > budget:
-        raise BudgetExceeded("fiber loop exceeds budget", estimate=na)
 
     # split every system row into  sum_l coeff_l(A) x_l + sum_pat gamma_pat(A) pat(B)
     patterns = {}
@@ -270,14 +295,23 @@ def _block_count(compiled, block, q, budget, stats) -> int:
     npat = len(patterns)
     ne = len(system)
     nl = len(l_list)
+    b_orbits = homogeneous and len({sum(e for _, e in p) for p in patterns}) <= 1
 
-    # pattern table over the enumerated B-side
-    # float64 so that the products below run through BLAS; they stay exact
-    # integers, as npat * q**2 < 2**53
-    pmat = np.zeros((npat, nb), dtype=np.float64)
+    xb, bpos, wb = _rows(b_only, b_list, q, budget, stats, b_orbits)
+    xa, apos, wa = _rows(a_only, a_list, q, budget, stats, homogeneous)
+    na, nb = xa.shape[0], int(wb.sum())
+    if na == 0 or (b_list and nb == 0):
+        return 0
+    stats.visits += na
+    if stats.visits > budget:
+        raise BudgetExceeded("fiber loop exceeds budget", estimate=na)
+
+    # pattern table over the enumerated B-side, in float64 so that the
+    # products below run through BLAS
+    pmat = np.zeros((npat, xb.shape[0]), dtype=np.float64)
     bcols = {v: xb[:, bpos[v]] for v in bpos}
     for bpart, j in patterns.items():
-        col = np.ones(nb, dtype=np.int64)
+        col = np.ones(xb.shape[0], dtype=np.int64)
         for var, e in bpart:
             for _ in range(e):
                 col = col * bcols[var] % q
@@ -285,13 +319,14 @@ def _block_count(compiled, block, q, budget, stats) -> int:
 
     # per chunk of fibers: [M | I] -> rank and left null space N; the
     # constraint rows N G reduced to RREF name the fiber's B-subspace
-    ncons = {}  # RREF bytes -> number of B-points satisfying its rows
-    null_keys = set()
+    chunk = max(1, _FIBER_BYTES // (8 * ne * (nl + ne + 2 * npat)))
+    ncons = {}  # RREF bytes -> weight of the B-points satisfying its rows
     null_fibers = 0
     total = 0
-    for lo in range(0, na, _FIBER_CHUNK):
-        acols = {v: xa[lo : lo + _FIBER_CHUNK, apos[v]] for v in apos}
-        nf = min(_FIBER_CHUNK, na - lo)
+    for lo in range(0, na, chunk):
+        acols = {v: xa[lo : lo + chunk, apos[v]] for v in apos}
+        w = wa[lo : lo + chunk]
+        nf = w.size
         aug = np.zeros((nf, ne, nl + ne), dtype=np.int64)
         aug[:, :, nl:] = np.eye(ne, dtype=np.int64)
         for ei in range(ne):
@@ -301,9 +336,10 @@ def _block_count(compiled, block, q, budget, stats) -> int:
         # a fiber of full rank ne puts no condition on B
         sel = np.flatnonzero(rank < ne)
         if sel.size < nf:
-            total += q ** (nl - ne) * (nf - sel.size) * nb
+            total += q ** (nl - ne) * int(w[rank == ne].sum()) * nb
         if sel.size == 0:
             continue
+        null_fibers += sel.size
         rank = rank[sel]
         acols = {v: col[sel] for v, col in acols.items()}
         g = np.zeros((sel.size, ne, npat), dtype=np.int64)
@@ -315,18 +351,21 @@ def _block_count(compiled, block, q, budget, stats) -> int:
         urank = gauss_jordan(u, npat, q).tolist()
         # keys: the nonzero RREF rows, two bytes per entry as q <= MAX_Q
         u = u.astype(np.uint16)
-        keys = [bytes(rows[:k]) for rows, k in zip(u, urank)]
-        groups = Counter(zip(rank.tolist(), urank, keys))
-        for (r, k, key), count in groups.items():
-            null_keys.add(key)
-            null_fibers += count
+        groups = Counter()
+        for r, k, rows, wt in zip(rank.tolist(), urank, u, w[sel].tolist()):
+            groups[r, k, bytes(rows[:k])] += wt
+        for (r, k, key), weight in groups.items():
             if key not in ncons:
                 live = np.frombuffer(key, dtype=np.uint16).reshape(k, npat)
-                z = (live.astype(np.float64) @ pmat).astype(np.int64) % q
-                ncons[key] = int(np.count_nonzero(~z.any(axis=0)))
-            total += q ** (nl - r) * count * ncons[key]
-    stats.cache_misses += len(null_keys)
-    stats.cache_hits += null_fibers - len(null_keys)
+                z = live.astype(np.float64) @ pmat
+                # z holds integers below npat * q**2 < 2**50, exact in
+                # float64, so an entry is 0 mod q exactly when rounding z / q
+                # and multiplying back gives it again
+                back = np.rint(z * (1.0 / q)) * q
+                ncons[key] = int(wb[(back == z).all(axis=0)].sum())
+            total += q ** (nl - r) * weight * ncons[key]
+    stats.cache_misses += len(ncons)
+    stats.cache_hits += null_fibers - len(ncons)
     return total
 
 
@@ -343,14 +382,16 @@ def _core_count(equations, nvars, q, budget, stats) -> int:
     mult = q ** (nvars - len(active))
     if not compiled:
         return mult
+    homogeneous = _homogeneous(compiled)
     if q ** len(active) > PLAIN_CUTOFF:
         block = _linear_block(compiled, active)
         if block:
             stats.tag("blocks")
-            return _block_count(compiled, block, q, budget, stats) * mult
+            n = _block_count(compiled, block, q, budget, stats, homogeneous)
+            return n * mult
     stats.tag("plain")
-    arr, _ = _bfs_enumerate(compiled, sorted(active), q, budget, stats)
-    return arr.shape[0] * mult
+    _, _, weight = _rows(compiled, sorted(active), q, budget, stats, homogeneous)
+    return int(weight.sum()) * mult
 
 
 def _projective_counts(X: VarietySpec, b, q, budget, stats):
@@ -395,6 +436,8 @@ class CountResult:
 
 def count_points(X: VarietySpec, b: int, budget: int = DEFAULT_BUDGET) -> CountResult:
     """Exact census count of the height-below-b locus of X over its field."""
+    if b < 1:
+        raise ValueError("b must be a positive integer")
     q = X.base_field.p
     _check_q(q)
     stats = SearchStats()

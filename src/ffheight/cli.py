@@ -166,6 +166,9 @@ def _cmd_census(args):
         rep = dim_estimate(inst, args.b, args.q, budget=budget)
         _emit(rep.to_json())
         fit = rep.fit
+        if fit["slope"] is None:
+            _human("no fit: a count is 0")
+            return CONFORMANCE_ERROR
         _human(
             f"fitted dim {fit['dim']} (slope {fit['slope']:.3f}, "
             f"{'stable' if fit['stable'] else 'UNSTABLE'}), bound {rep.bound}"

@@ -329,8 +329,70 @@ def test_block_fiber_cache_counts_cubic():
     X = variety_from_strs("projective", ["x", "y", "z"], ["y*z^2 - x^3"], 5)
     res = count_points(X, 5)
     assert (res.count, res.primitive) == (126, 504)
-    assert res.stats.visits == 17740
-    assert (res.stats.cache_hits, res.stats.cache_misses) == (2904, 971)
+    assert res.stats.visits == 4561
+    assert (res.stats.cache_hits, res.stats.cache_misses) == (0, 971)
+
+
+def _random_ternary_form(rng):
+    """A homogeneous form of degree 2 or 3 in x, y, z over F_q[t]."""
+    d = rng.choice((2, 3))
+    monos = [
+        (i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)
+    ]
+    terms = []
+    for exps in rng.sample(monos, rng.randrange(2, 5)):
+        factors = [rng.choice(("1", "2", "3", "4", "t", "2*t"))]
+        factors += [
+            nm if e == 1 else f"{nm}^{e}" for nm, e in zip("xyz", exps) if e
+        ]
+        terms.append("*".join(factors))
+    return " + ".join(terms)
+
+
+def _orbit_fence_cases():
+    """(equation, q, b): seeded random forms plus two fixed ones, one with
+    patterns of mixed degree (only A is taken by orbits) and one in t."""
+    rng = random.Random(15)
+    for _ in range(30):
+        yield _random_ternary_form(rng), rng.choice((2, 3, 5, 7)), rng.randrange(1, 4)
+    for q, b in ((3, 2), (5, 2), (3, 3)):
+        yield "y*z^2 - x^3 + x^2*z", q, b
+        yield "t*x^2 - y*z", q, b
+
+
+def test_orbit_counts_match_brute_force(monkeypatch):
+    # a cutoff of 0 sends every system with a linear block down the blocks path
+    monkeypatch.setattr(census, "PLAIN_CUTOFF", 0)
+    blocks = 0
+    for eq, q, b in _orbit_fence_cases():
+        X = variety_from_strs("projective", ("x", "y", "z"), [eq], q)
+        res = count_points(X, b)
+        blocks += "blocks" in res.stats.path
+        if q ** (3 * b) <= 20_000:
+            want = brute_projective_count(X, b)
+        else:
+            want = len(point_stream(X, b))
+        assert res.count == want, (eq, q, b)
+        assert res.primitive == want * (q - 1), (eq, q, b)
+    assert blocks >= 20
+
+
+def test_block_count_eliminates_one_fiber_per_orbit():
+    # the A-side of y z^2 = x^3 at m = 5 is z, all 5^5 values of it: the
+    # zero fiber and one per F_5^* orbit are left
+    X = variety_from_strs("projective", ["x", "y", "z"], ["y*z^2 - x^3"], 5)
+    fibers = []
+    for b in (4, 5):
+        stats = count_points(X, b).stats
+        fibers.append(stats.cache_hits + stats.cache_misses)
+    assert 0 < fibers[1] - fibers[0] <= (5**5 - 1) // 4 + 1
+
+
+def test_count_rejects_nonpositive_b():
+    for ambient in ("affine", "projective"):
+        X = variety_from_strs(ambient, ["x", "y", "z"], ["x^2 + y^2 + z^2"], 3)
+        with pytest.raises(ValueError, match="b must be a positive integer"):
+            count_points(X, 0)
 
 
 def _rref_mod(rows, q, ncols):

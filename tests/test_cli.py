@@ -56,6 +56,29 @@ def test_census_dim_violated_bound_exits_1(capsys):
     assert lines[-1]["conforms"] is False
 
 
+def test_census_dim_zero_count_exits_1(capsys):
+    # x^2 = -1 has no root over F_3, F_7 or F_11: no slope to fit
+    code, lines, err = run(
+        capsys,
+        "census", "dim", "--eq", "x^2 + 1", "--names", "x", "--m", "0",
+        "--b", "1", "--q", "3,7,11",
+    )
+    assert code == CONFORMANCE_ERROR
+    assert lines[-1]["counts"] == [0, 0, 0]
+    assert lines[-1]["slope"] is None
+    assert "no fit: a count is 0" in err
+
+
+def test_census_count_nonpositive_b_exits_2(capsys):
+    code, lines, _ = run(
+        capsys,
+        "census", "count", "--ambient", "projective", "--eq", "x^2+y^2+z^2",
+        "--b", "0", "--q", "3",
+    )
+    assert code == USAGE_ERROR
+    assert lines[-1]["reason"] == "b must be a positive integer"
+
+
 def test_lattice_height_scaled_identity(capsys):
     code, lines, _ = run(
         capsys,
