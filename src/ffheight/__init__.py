@@ -28,7 +28,6 @@ from .lattices import (
     kernel_lattice,
     lattice_height,
     linear_space_count,
-    plucker_minors,
     reduce_basis,
     short_kernel_vector,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "parse_unipoly",
     "pell_family",
     "pell_solutions",
-    "plucker_minors",
     "point_stream",
     "reduce_basis",
     "short_kernel_vector",

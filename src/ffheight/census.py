@@ -20,11 +20,11 @@ solutions.  Three paths:
   a matrix M in L and pattern coefficients G.  The fibers are handled a
   batch at a time, each batch sized to about 1 MiB of working arrays, by
   one batched Gauss-Jordan mod q (`modq.gauss_jordan`) on the stacked
-  [M | I], which yields every fiber's rank and left null space N.  A
-  fiber of full rank puts no condition on B; for the others a second
-  batched Gauss-Jordan brings the constraint rows N G to their canonical
-  RREF.  The condition on B is that its pattern vector satisfy those
-  rows, so fibers are grouped by the bytes of the RREF and one matrix
+  [M | G].  The rows with a nonzero M-part give each fiber's rank; the
+  rows below them are the canonical RREF of the constraint rows N G,
+  where N spans the left null space of M.  A fiber of full rank puts no
+  condition on B.  The condition on B is that its pattern vector satisfy
+  those rows, so fibers are grouped by the bytes of the RREF and one matrix
   product against the precomputed pattern table settles each distinct
   RREF.  A fiber of rank r adds q^(|L| - r) solutions per satisfying
   B-point.  For a homogeneous system x -> lambda x maps the fiber over A
@@ -60,7 +60,8 @@ DEFAULT_BUDGET = 10**9
 PLAIN_CUTOFF = 200_000
 # the enumeration stores residues as int16 and multiplies them in int32
 MAX_Q = 32767
-# bytes of working arrays per batch of A-fibers: [M | I], G and N G
+# bytes of working arrays per batch of A-fibers: [M | G] and the
+# elimination's temporaries of the same size
 _FIBER_BYTES = 1 << 20
 
 
@@ -311,49 +312,40 @@ def _block_count(compiled, block, q, budget, stats, homogeneous) -> int:
     pmat = np.zeros((npat, xb.shape[0]), dtype=np.float64)
     bcols = {v: xb[:, bpos[v]] for v in bpos}
     for bpart, j in patterns.items():
-        col = np.ones(xb.shape[0], dtype=np.int64)
-        for var, e in bpart:
-            for _ in range(e):
-                col = col * bcols[var] % q
-        pmat[j] = col
+        pmat[j] = _eval_terms([(1, bpart)], bcols, q)
 
-    # per chunk of fibers: [M | I] -> rank and left null space N; the
-    # constraint rows N G reduced to RREF name the fiber's B-subspace
-    chunk = max(1, _FIBER_BYTES // (8 * ne * (nl + ne + 2 * npat)))
+    # per chunk of fibers, one RREF of [M | G]: the rows with a nonzero
+    # M-part give the rank r, and the rows below them are the canonical
+    # RREF of the constraint rows N G, which name the fiber's B-subspace
+    chunk = max(1, _FIBER_BYTES // (16 * ne * (nl + npat)))
     ncons = {}  # RREF bytes -> weight of the B-points satisfying its rows
     null_fibers = 0
     total = 0
     for lo in range(0, na, chunk):
         acols = {v: xa[lo : lo + chunk, apos[v]] for v in apos}
         w = wa[lo : lo + chunk]
-        nf = w.size
-        aug = np.zeros((nf, ne, nl + ne), dtype=np.int64)
-        aug[:, :, nl:] = np.eye(ne, dtype=np.int64)
+        aug = np.zeros((w.size, ne, nl + npat), dtype=np.int64)
         for ei in range(ne):
             for li, terms in m_polys[ei].items():
                 aug[:, ei, li] = _eval_terms(terms, acols, q)
-        rank = gauss_jordan(aug, nl, q)
+            for pj, terms in g_polys[ei].items():
+                aug[:, ei, nl + pj] = _eval_terms(terms, acols, q)
+        mg_rank = gauss_jordan(aug, nl + npat, q)
+        rank = (aug[:, :, :nl] != 0).any(axis=2).sum(axis=1)
         # a fiber of full rank ne puts no condition on B
         sel = np.flatnonzero(rank < ne)
-        if sel.size < nf:
+        if sel.size < w.size:
             total += q ** (nl - ne) * int(w[rank == ne].sum()) * nb
         if sel.size == 0:
             continue
         null_fibers += sel.size
-        rank = rank[sel]
-        acols = {v: col[sel] for v, col in acols.items()}
-        g = np.zeros((sel.size, ne, npat), dtype=np.int64)
-        for ei in range(ne):
-            for pj, terms in g_polys[ei].items():
-                g[:, ei, pj] = _eval_terms(terms, acols, q)
-        u = aug[sel, :, nl:] @ g % q
-        u[np.arange(ne) < rank[:, None]] = 0
-        urank = gauss_jordan(u, npat, q).tolist()
-        # keys: the nonzero RREF rows, two bytes per entry as q <= MAX_Q
-        u = u.astype(np.uint16)
+        # keys: the nonzero constraint rows, two bytes per entry as q <= MAX_Q
+        g = aug[sel, :, nl:].astype(np.uint16)
         groups = Counter()
-        for r, k, rows, wt in zip(rank.tolist(), urank, u, w[sel].tolist()):
-            groups[r, k, bytes(rows[:k])] += wt
+        for r, k, rows, wt in zip(
+            rank[sel].tolist(), mg_rank[sel].tolist(), g, w[sel].tolist()
+        ):
+            groups[r, k - r, bytes(rows[r:k])] += wt
         for (r, k, key), weight in groups.items():
             if key not in ncons:
                 live = np.frombuffer(key, dtype=np.uint16).reshape(k, npat)

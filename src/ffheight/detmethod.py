@@ -304,6 +304,8 @@ def divisibility_exponent(
     over K gives exponent inf.  For plane curves (basis in 3 variables) at
     smooth residue points the triangular bound s(s-1)/2 is certified.
     """
+    if multiplicity < 1:
+        raise ValueError("multiplicity must be a positive integer")
     s = len(points)
     if s == 0:
         raise ValueError("need at least one point")

@@ -4,18 +4,18 @@ An O_K-lattice here is the row module of a full-rank matrix over F[t].  A
 weak Popov basis (rows with pairwise distinct pivot positions) realizes the
 successive minima exactly: the height of any combination sum lam_i v_i is
 max over nonzero lam_i of (deg v_i + deg lam_i), with no defect.
-Heights come from the maximal minors (Bareiss determinants).  Kernels come
-from one unimodular column reduction, which yields a saturated basis with
-no elimination over K and no denominators to clear.
+Heights come from the minima of a reduced basis less the degree of the
+gcd of the maximal minors, which one unimodular column reduction reads off;
+the same column reduction gives kernels, a saturated basis with no
+elimination over K and no denominators to clear.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .parsing import parse_unipoly
-from .rings import NEG_INF, PrimeField, UniPoly, uni_content
+from .rings import NEG_INF, PrimeField, UniPoly
 
 
 @dataclass(frozen=True)
@@ -125,76 +125,12 @@ def reduce_basis(M) -> ReducedBasis:
     )
 
 
-def unipoly_det(m):
-    """Fraction-free (Bareiss) determinant of a square UniPoly matrix."""
-    n = len(m)
-    field = m[0][0].field
-    m = [list(r) for r in m]
-    sign = 1
-    prev = UniPoly.one(field)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return UniPoly.zero(field)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).divexact(prev)
-            m[i][k] = UniPoly.zero(field)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def plucker_minors(M):
-    """All maximal minors of a full-row-rank matrix, as a list of UniPolys."""
-    rows = _as_rows(M)
-    m, n = len(rows), len(rows[0])
-    if m > n:
-        raise ValueError("need nrows <= ncols")
-    return [
-        unipoly_det([[rows[i][j] for j in cols] for i in range(m)])
-        for cols in combinations(range(n), m)
-    ]
-
-
-def lattice_height(M) -> int:
-    """Height of the row space under the Plücker embedding.
-
-    The maximal minors are the Plücker coordinates; the height of the
-    projective point they define is max degree minus the degree of their
-    gcd.  For a basis of a saturated lattice the gcd is a constant and this
-    equals the sum of the successive minima; in general the minima sum
-    exceeds it by the gcd degree.
-    """
-    dets = plucker_minors(M)
-    g = uni_content(dets)
-    if g is None:
-        raise ValueError("rank deficient")
-    return int(max(det.deg for det in dets) - g.deg)
-
-
-def kernel_lattice(A) -> ReducedBasis:
-    """Reduced basis of the saturated kernel {x in O_K^n : A x = 0}.
-
-    Unimodular column operations bring A to (T | 0), T lower triangular,
-    while U tracks them from the identity, so that A U = (T | 0).  The last
-    n - m columns of U span the kernel, and since U is invertible over O_K
-    they span a direct summand: the kernel lattice is already saturated.
-    """
-    rows = _as_rows(A)
-    m, n = len(rows), len(rows[0])
-    if m >= n:
-        raise ValueError("need nrows < ncols")
-    fld = rows[0][0].field
-    zero, one = UniPoly.zero(fld), UniPoly.one(fld)
-    # column j of A, and of U, as a list
-    cols = [[r[j] for r in rows] for j in range(n)]
-    ucols = [[one if i == j else zero for i in range(n)] for j in range(n)]
+def _column_reduce(cols, m):
+    """Unimodular column operations, in place, that bring the first m rows
+    of the columns cols to (T | 0), T lower triangular with nonzero
+    diagonal; the rows below m follow the operations.  Raises ValueError
+    when those m rows do not have full rank."""
+    n = len(cols)
     for r in range(m):
         # Euclid across row r: reduce every live entry modulo the one of
         # least degree until a single one is left, then move it to column r
@@ -209,14 +145,53 @@ def kernel_lattice(A) -> ReducedBasis:
                     continue
                 quo = cols[c][r] // cols[piv][r]
                 cols[c] = [x - y * quo for x, y in zip(cols[c], cols[piv])]
-                ucols[c] = [x - y * quo for x, y in zip(ucols[c], ucols[piv])]
                 if not cols[c][r].is_zero():
                     done = False
             if done:
                 cols[r], cols[piv] = cols[piv], cols[r]
-                ucols[r], ucols[piv] = ucols[piv], ucols[r]
                 break
-    return reduce_basis(ucols[m:])
+
+
+def lattice_height(M) -> int:
+    """Height of the row space under the Plücker embedding.
+
+    The maximal minors are the Plücker coordinates; the height of the
+    projective point they define is max degree minus the degree of their
+    gcd.  A weak Popov basis attains the max degree as the sum of its row
+    degrees, the successive minima.  Column reduction gives A U = (T | 0)
+    with U unimodular, so det T is the gcd of the minors and its degree is
+    the sum of the degrees of T's diagonal.  For a basis of a saturated
+    lattice that gcd is a constant and the height is the minima sum.
+    """
+    rows = _as_rows(M)
+    m, n = len(rows), len(rows[0])
+    cols = [[r[j] for r in rows] for j in range(n)]
+    _column_reduce(cols, m)
+    return reduce_basis(rows).height() - sum(cols[r][r].deg for r in range(m))
+
+
+def kernel_lattice(A) -> ReducedBasis:
+    """Reduced basis of the saturated kernel {x in O_K^n : A x = 0}.
+
+    Unimodular column operations bring A to (T | 0), T lower triangular,
+    while U tracks them from the identity below A, so that A U = (T | 0).
+    The last n - m columns of U span the kernel, and since U is invertible
+    over O_K they span a direct summand: the kernel lattice is already
+    saturated.
+    """
+    rows = _as_rows(A)
+    m, n = len(rows), len(rows[0])
+    if m >= n:
+        raise ValueError("need nrows < ncols")
+    fld = rows[0][0].field
+    zero, one = UniPoly.zero(fld), UniPoly.one(fld)
+    # column j of A stacked over column j of U = I
+    cols = [
+        [r[j] for r in rows] + [one if i == j else zero for i in range(n)]
+        for j in range(n)
+    ]
+    _column_reduce(cols, m)
+    return reduce_basis([col[m:] for col in cols[m:]])
 
 
 def short_kernel_vector(A):

@@ -1,7 +1,7 @@
 """Batched Gauss-Jordan elimination mod a prime q.
 
 One kernel serves both mod-q eliminations: the census fiber loop, which
-reduces a chunk of [M | I] stacks at a time, and the determinant method's
+reduces a chunk of [M | G] stacks at a time, and the determinant method's
 residue ranks, which bound the rank over K from below by the ranks mod
 t - a.  Entries must be in [0, q) with products of two residues inside
 int64, so q <= census.MAX_Q.

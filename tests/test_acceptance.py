@@ -26,7 +26,6 @@ from ffheight.lattices import (
     kernel_lattice,
     lattice_height,
     linear_space_count,
-    plucker_minors,
     reduce_basis,
     row_height,
     short_kernel_vector,
@@ -49,6 +48,7 @@ from ffheight.suite import (
     random_hypersurfaces,
 )
 from ffheight.varieties import VarietySpec, expand, variety_from_strs
+from minors_oracle import plucker_minors
 
 
 def report(n, line):

@@ -388,6 +388,36 @@ def test_block_count_eliminates_one_fiber_per_orbit():
     assert 0 < fibers[1] - fibers[0] <= (5**5 - 1) // 4 + 1
 
 
+def test_block_count_runs_one_elimination_per_batch(monkeypatch):
+    # y z^2 = x^3 down the blocks path: every batch of fibers is reduced by
+    # one gauss_jordan call, first with all fibers in one batch, then with
+    # one fiber per batch
+    monkeypatch.setattr(census, "PLAIN_CUTOFF", 0)
+    X = variety_from_strs("projective", ["x", "y", "z"], ["y*z^2 - x^3"], 5)
+    block_count, gauss_jordan = census._block_count, census.gauss_jordan
+    calls = []  # per _block_count call, the fibers of each elimination
+
+    def counted_block_count(*args):
+        calls.append([])
+        return block_count(*args)
+
+    def counted_gauss_jordan(aug, ncols, q):
+        calls[-1].append(aug.shape[0])
+        return gauss_jordan(aug, ncols, q)
+
+    monkeypatch.setattr(census, "_block_count", counted_block_count)
+    monkeypatch.setattr(census, "gauss_jordan", counted_gauss_jordan)
+    runs = []
+    for fiber_bytes in (1 << 40, 1):
+        monkeypatch.setattr(census, "_FIBER_BYTES", fiber_bytes)
+        calls.clear()
+        runs.append((count_points(X, 4).count, list(calls)))
+    (count, whole), (count_split, split) = runs
+    assert count == count_split
+    assert whole and all(len(c) == 1 for c in whole)
+    assert split == [[1] * c[0] for c in whole]
+
+
 def test_count_rejects_nonpositive_b():
     for ambient in ("affine", "projective"):
         X = variety_from_strs(ambient, ["x", "y", "z"], ["x^2 + y^2 + z^2"], 3)

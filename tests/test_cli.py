@@ -177,6 +177,18 @@ def test_detmethod_val(capsys):
     assert lines[0]["s"] == 2
 
 
+@pytest.mark.parametrize("mu", ["0", "-1"])
+def test_detmethod_val_nonpositive_mu_exits_2(capsys, mu):
+    code, lines, _ = run(
+        capsys,
+        "detmethod", "val",
+        "--points", "1:1:1:1;t:1:1:1",
+        "--deg", "1", "--q", "5", "--p", "1", "--mu", mu,
+    )
+    assert code == USAGE_ERROR
+    assert lines[-1]["reason"] == "multiplicity must be a positive integer"
+
+
 def test_detmethod_aux_projective(capsys):
     code, lines, _ = run(
         capsys,

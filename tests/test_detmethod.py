@@ -21,11 +21,11 @@ from ffheight.detmethod import (
     mult_at,
     _local_smith_valuations,
 )
-from ffheight.lattices import unipoly_det
 from ffheight.multipoly import reduce_mod
 from ffheight.parsing import parse_poly, parse_unipoly
 from ffheight.rings import PolyRing, PrimeField, UniPoly, uni_content
 from ffheight.varieties import HeightPoint, on_variety, variety_from_strs
+from minors_oracle import unipoly_det
 
 
 F5 = PrimeField(5)
@@ -340,6 +340,14 @@ def test_divisibility_rejects_stray_point():
         divisibility_exponent(
             pts[:2] + [stray], B, T("t - 1"), residue_point=(2, 1, 4)
         )
+
+
+@pytest.mark.parametrize("mu", [0, -1])
+def test_divisibility_rejects_nonpositive_multiplicity(mu):
+    X = variety_from_strs("projective", ["x", "y", "z"], ["x^2 - y*z"], 5)
+    pts = congruence_class(X, 3, [CongruenceDatum(T("t - 1"), (2, 1, 4))])
+    with pytest.raises(ValueError, match="multiplicity must be a positive integer"):
+        divisibility_exponent(pts[:2], monomial_basis(2, 3), T("t - 1"), multiplicity=mu)
 
 
 def test_divisibility_main_term():

@@ -8,12 +8,12 @@ from ffheight.lattices import (
     kernel_lattice,
     lattice_height,
     linear_space_count,
-    plucker_minors,
     reduce_basis,
     row_height,
     short_kernel_vector,
 )
-from ffheight.rings import PrimeField, UniPoly, uni_gcd
+from ffheight.rings import PrimeField, UniPoly, uni_content, uni_gcd
+from minors_oracle import plucker_minors
 
 
 F5 = PrimeField(5)
@@ -84,6 +84,53 @@ def test_height_vs_minima_law_random():
         rb = reduce_basis([list(r) for r in rows])
         assert rb.height() == lattice_height(rows) + g.deg
         checked += 1
+
+
+def _minors_height(rows):
+    """Plücker height from every maximal minor: max degree less the degree
+    of their gcd."""
+    dets = plucker_minors(rows)
+    g = uni_content(dets)
+    if g is None:
+        raise ValueError("rank deficient")
+    return max(d.deg for d in dets) - g.deg
+
+
+def _height_or_error(height, rows):
+    try:
+        return height(rows)
+    except ValueError:
+        return ValueError
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+def test_lattice_height_matches_minors_oracle(q):
+    """Square, wide and rank-deficient shapes up to 3 x 5: the same height
+    as the minors give, or a ValueError on both sides."""
+    fld = PrimeField(q)
+    rng = random.Random(40 + q)
+    deficient = 0
+    for trial in range(120):
+        m = rng.randrange(1, 4)
+        n = m + rng.randrange(3)
+        rows = rand_matrix(rng, fld, m, n)
+        if trial % 5 == 0:
+            # the last row a combination of the first and the one before it,
+            # zero when m = 1
+            a, b = rand_matrix(rng, fld, 1, 2, maxdeg=1)[0]
+            if m == 1:
+                a = b = UniPoly.zero(fld)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[m - 2])]
+        want = _height_or_error(_minors_height, rows)
+        assert _height_or_error(lattice_height, rows) == want, (q, rows)
+        deficient += want is ValueError
+    assert deficient >= 24
+
+
+def test_lattice_height_5_by_10_matches_minors_oracle():
+    fld = PrimeField(7)
+    rows = rand_matrix(random.Random(41), fld, 5, 10)
+    assert lattice_height(rows) == _minors_height(rows)
 
 
 def test_reduced_basis_spans_same_lattice():
