@@ -17,13 +17,12 @@ from . import census
 from .census import BudgetExceeded, InstanceSpec, count_points, dim_estimate
 from .detmethod import (
     CongruenceDatum,
-    DegreeBudgetError,
     auxiliary_poly_affine,
     auxiliary_poly_projective,
     divisibility_exponent,
     monomial_basis,
 )
-from .groebner import BudgetError, groebner, ideal_member, krull_dimension
+from .groebner import groebner, ideal_member, krull_dimension
 from .lattices import (
     PolyMatrix,
     kernel_lattice,
@@ -100,19 +99,19 @@ def _instance_from_args(args) -> InstanceSpec:
         return _load_instance(args.spec)
     if not getattr(args, "eq", None):
         raise SystemExit(_fail("need --spec or at least one --eq", USAGE_ERROR))
+    ineqs = getattr(args, "ineq", None) or []
     names = (
         tuple(args.names.split(","))
         if getattr(args, "names", None)
-        else _infer_names(args.eq + (args.ineq or []))
+        else _infer_names(args.eq + ineqs)
     )
     return InstanceSpec(
         name="cli instance",
         ambient=args.ambient,
         names=names,
         equations=tuple(args.eq),
-        inequations=tuple(args.ineq or ()),
+        inequations=tuple(ineqs),
         dim=args.m if getattr(args, "m", None) is not None else len(names) - 1,
-        degree=getattr(args, "d", None) or 0,
     )
 
 
@@ -385,7 +384,6 @@ def build_parser():
     pc.add_argument("--ineq", action="append")
     pc.add_argument("--names")
     pc.add_argument("--m", type=int, help="declared variety dimension")
-    pc.add_argument("--d", type=int, help="declared degree")
     pc.add_argument("--b", type=int, default=2)
     pc.add_argument("--b-list", type=_parse_ints, default=(1, 2, 3))
     pc.add_argument("--q", type=_parse_qs, default=(3, 5, 7))
@@ -434,7 +432,6 @@ def build_parser():
     pg.add_argument("--ambient", choices=("affine", "projective"), default="affine")
     pg.add_argument("--eq", action="append")
     pg.add_argument("--names")
-    pg.add_argument("--ineq", action="append")
     pg.add_argument("--b", type=int, default=0, help="expand at this bound first")
     pg.add_argument("--q", type=int, default=5)
     pg.add_argument("--g", help="member: polynomial to test")
@@ -457,9 +454,7 @@ def main(argv=None) -> int:
     except ParseError as e:
         return _fail(str(e), USAGE_ERROR, kind="parse")
     except BudgetExceeded as e:
-        return _fail("budget", CONFORMANCE_ERROR, estimate=e.estimate)
-    except (BudgetError, DegreeBudgetError) as e:
-        return _fail("budget", CONFORMANCE_ERROR, detail=str(e))
+        return _fail("budget", CONFORMANCE_ERROR, estimate=e.estimate, detail=str(e))
     except (ValueError, ArithmeticError, OSError, json.JSONDecodeError) as e:
         return _fail(str(e), USAGE_ERROR, kind=type(e).__name__)
 

@@ -24,7 +24,7 @@ from math import comb, factorial, inf
 
 import numpy as np
 
-from .census import DEFAULT_BUDGET, point_stream
+from .census import DEFAULT_BUDGET, BudgetExceeded, point_stream
 from .modq import gauss_jordan
 from .multipoly import MultiPoly, prime_residue, reduce_mod
 from .rings import PolyRing, UniPoly, uni_content, uni_gcd, uni_lcm
@@ -35,10 +35,6 @@ from .varieties import HeightPoint, VarietySpec, default_names
 _CERT_RESIDUES = 8
 # random draws for a constant point off an affine variety over a large field
 _OFF_POINT_TRIES = 2000
-
-
-class DegreeBudgetError(RuntimeError):
-    """Raised when the incremental degree search exceeds its cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +507,7 @@ def _search_kernel(points, d, nvars, ring, b, accept):
                 res = accept(g, M, rref.rank, len(kernel), target)
                 if res is not None:
                     return res
-    raise DegreeBudgetError(
+    raise BudgetExceeded(
         f"degree budget exhausted at M = {m_max}: "
         "bug or unsatisfied hypothesis"
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .census import BudgetExceeded
 from .multipoly import (
     MultiPoly,
     grevlex_key,
@@ -21,10 +22,6 @@ from .rings import PrimeField
 
 MAX_VARS = 12
 MAX_BASIS = 5000
-
-
-class BudgetError(RuntimeError):
-    pass
 
 
 def normal_form(f: MultiPoly, gens) -> MultiPoly:
@@ -83,7 +80,7 @@ def groebner(gens, nvars=None, field=None) -> GroebnerBasis:
     if not isinstance(field, PrimeField):
         raise TypeError("constant-field coefficients required")
     if nvars > MAX_VARS:
-        raise BudgetError(f"{nvars} variables exceeds the {MAX_VARS}-variable budget")
+        raise BudgetExceeded(f"{nvars} variables exceeds the {MAX_VARS}-variable budget")
 
     basis = [g.monic() for g in gens]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
@@ -100,7 +97,7 @@ def groebner(gens, nvars=None, field=None) -> GroebnerBasis:
         basis.append(r.monic())
         k = len(basis) - 1
         if k + 1 > MAX_BASIS:
-            raise BudgetError(f"basis exceeded {MAX_BASIS} elements")
+            raise BudgetExceeded(f"basis exceeded {MAX_BASIS} elements")
         pairs.extend((idx, k) for idx in range(k))
 
     # inter-reduce

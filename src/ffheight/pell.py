@@ -4,7 +4,8 @@ beta must have even degree with square leading coefficient, so sqrt(beta)
 lives in the Laurent field F_q((1/t)); its continued fraction is periodic
 and yields the fundamental unit.  Only the polynomial part A of sqrt(beta)
 is ever needed: every partial quotient is a floor division in F_q[t]
-(Artin, 1924).  Bounded-height solution sets are produced by coefficient
+(Artin, 1924), and the unit search walks only the bounded-degree (P, Q)
+recurrence.  Bounded-height solution sets are produced by coefficient
 enumeration (the completeness authority) and cross-checked against the
 unit orbit of the found solutions.
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import point_stream
+from .census import BudgetExceeded, point_stream
 from .multipoly import MultiPoly
 from .rings import PolyRing, PrimeField, UniPoly, is_prime
 from .varieties import VarietySpec
@@ -79,6 +80,7 @@ class PellInstance:
         return self.norm(x, y) == self.gamma
 
 
+# partial quotients continued_fraction_unit takes before BudgetExceeded
 CF_GUARD = 20_000
 # steps of seed * w^k taken in each direction before unit_orbit gives up
 ORBIT_GUARD = 400
@@ -93,28 +95,35 @@ def continued_fraction_unit(beta: UniPoly):
     the continued fraction hit the fundamental unit at the end of the first
     quasi-period.  Each partial quotient floor((P + sqrt(beta))/Q) is the
     polynomial floor division (P + A) // Q, A = _floor_sqrt(beta), because
-    sqrt(beta) - A has negative degree.
+    sqrt(beta) - A has negative degree.  The loop walks only (P, Q), of
+    degree at most deg A: the convergent p_k/q_k has norm
+    p_k^2 - beta*q_k^2 = (-1)^(k+1) Q_(k+1), so the unit closes at the first
+    constant Q_(k+1), and the convergents are folded once at the end.  More
+    than CF_GUARD partial quotients raise BudgetExceeded.
     """
     fld = beta.field
     PellInstance(beta, UniPoly.one(fld))  # validates beta
     root = _floor_sqrt(beta)
     zero, one = UniPoly.zero(fld), UniPoly.one(fld)
     P, Q = zero, one
-    p_prev, p_prev2 = one, zero
-    q_prev, q_prev2 = zero, one
+    quotients = []
     for _ in range(CF_GUARD):
         a = (P + root) // Q
-        p_cur = a * p_prev + p_prev2
-        q_cur = a * q_prev + q_prev2
-        if not q_cur.is_zero():
-            n = p_cur * p_cur - beta * q_cur * q_cur
-            if n.deg == 0:
-                return p_cur, q_cur
+        quotients.append(a)
         P = a * Q - P
         Q = (beta - P * P).divexact(Q)
-        p_prev2, p_prev = p_prev, p_cur
-        q_prev2, q_prev = q_prev, q_cur
-    raise RuntimeError("continued fraction did not close within the guard")
+        if Q.deg == 0:
+            break
+    else:
+        raise BudgetExceeded(
+            f"continued fraction did not close within {CF_GUARD} partial quotients"
+        )
+    p_prev, p_cur = zero, one
+    q_prev, q_cur = one, zero
+    for a in quotients:
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
+    return p_cur, q_cur
 
 
 def _norm_one_unit(beta: UniPoly, unit):

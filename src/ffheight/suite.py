@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .census import InstanceSpec, count_points, dim_estimate
+from .census import DEFAULT_BUDGET, InstanceSpec, count_points, dim_estimate
 from .groebner import groebner, ideal_member
 from .pell import PellInstance, pell_family, pell_solutions, find_family_prime
 from .rings import PrimeField, UniPoly
@@ -268,11 +268,8 @@ def _check_spots(rows, budget):
         )
 
 
-def run_example_suite(qs=(3, 5, 7), bs=(1, 2, 3), budget=None, include_pell=True):
+def run_example_suite(qs=(3, 5, 7), bs=(1, 2, 3), budget=DEFAULT_BUDGET):
     """Every fixture, one CheckRow per assertion."""
-    from .census import DEFAULT_BUDGET
-
-    budget = budget or DEFAULT_BUDGET
     rows = []
     affine2, affine3, proj2, proj3, graph, cone = curve_instances()
     for inst in (affine2, affine3):
@@ -281,8 +278,7 @@ def run_example_suite(qs=(3, 5, 7), bs=(1, 2, 3), budget=None, include_pell=True
         _check_projective_curve(rows, inst, qs, [b for b in bs if b <= 3], budget)
     _check_graph_surface(rows, graph, (5, 7, 11), [b for b in bs if b >= 2], budget)
     _check_nonreduced_cone(rows, cone, 5, [b for b in bs if b <= 3])
-    if include_pell:
-        _check_pell(rows, budget)
+    _check_pell(rows, budget)
     _check_spots(rows, budget)
     return rows
 

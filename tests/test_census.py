@@ -453,7 +453,8 @@ def test_batched_gauss_jordan_matches_reference():
             a = rng.integers(0, q, (40, nrows, ncols))
             a[:10, :, 1:] = a[:10, :, :1] * rng.integers(0, q, (10, 1, ncols - 1)) % q
             a[10:20] *= rng.random((10, nrows, ncols)) < 0.3
-            # [M | I] as in the block path: the identity follows the row ops
+            # [M | I]: the carried identity columns must follow the row ops,
+            # as the carried G columns of the block path's [M | G] do
             eye = np.broadcast_to(np.eye(nrows, dtype=a.dtype), (40, nrows, nrows))
             for stack in (a, np.concatenate([a, eye], axis=2)):
                 got = stack.copy()

@@ -344,3 +344,102 @@ def test_groebner_takes_one_prime(capsys):
     )
     assert code == USAGE_ERROR
     assert lines == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("groebner", "dim", "--eq", "x*y*z", "--ineq", "x*y*z", "--names", "x,y,z"),
+        ("census", "count", "--eq", "y - x^3", "--d", "3", "--b", "2", "--q", "5"),
+    ],
+    ids=["groebner-ineq", "census-d"],
+)
+def test_removed_options_exit_2(capsys, argv):
+    code, lines, _ = run(capsys, *argv)
+    assert code == USAGE_ERROR
+    assert lines == []
+
+
+def test_pell_guard_exits_1_with_budget(capsys, monkeypatch):
+    from ffheight import pell
+
+    monkeypatch.setattr(pell, "CF_GUARD", 3)
+    # the unit of this beta takes five partial quotients
+    code, lines, _ = run(
+        capsys, "pell", "solve", "--beta", "t^4 + 3*t^3 + 4*t + 3", "--b", "1",
+        "--q", "5",
+    )
+    assert code == CONFORMANCE_ERROR
+    assert lines[-1]["reason"] == "budget"
+    assert "within 3 partial quotients" in lines[-1]["detail"]
+
+
+# one command per engine; each answer has a closed form valid for every q
+# that reaches it (pell needs odd q).  An auxiliary polynomial of degree 2
+# has rank + kernel dimension |B[2]| = 6 in three homogeneous variables.
+SWEEP = {
+    "census-affine": (
+        ["census", "count", "--eq", "y - x^3", "--b", "2"],
+        lambda js, q: js["count"] == q,
+    ),
+    "census-projective": (
+        ["census", "count", "--ambient", "projective", "--eq", "x^2 - y*z",
+         "--names", "x,y,z", "--b", "1"],
+        lambda js, q: js["count"] == q + 1,
+    ),
+    "expand": (
+        ["expand", "--eq", "y - x^2", "--b", "2"],
+        lambda js, q: len(js["vars"]) == 4 and len(js["equations"]) == 3,
+    ),
+    "lattice-height": (
+        ["lattice", "height", "--matrix", '[["t", "0"], ["0", "t"]]'],
+        lambda js, q: js["height"] == 0,
+    ),
+    "lattice-kernel": (
+        ["lattice", "kernel", "--matrix", '[["t", "1", "0"]]'],
+        lambda js, q: js["minima"] == [0, 1],
+    ),
+    "lattice-count": (
+        ["lattice", "count", "--matrix", '[["1", "0"], ["0", "1"]]', "--b", "2"],
+        lambda js, q: js["log_q_count"] == 4,
+    ),
+    "detmethod-aux-projective": (
+        ["detmethod", "aux", "--f", "x^2 - y*z", "--names", "x,y,z", "--b", "2",
+         "--class", "p=1,P=1:1:1"],
+        lambda js, q: js["coprime_to_f"] and js["rank"] + js["kernel_dim"] == 6,
+    ),
+    "detmethod-aux-affine": (
+        ["detmethod", "aux", "--affine", "--f", "y - x^2", "--names", "x,y", "--b", "2"],
+        lambda js, q: js["coprime_to_f"] and js["rank"] + js["kernel_dim"] == 6,
+    ),
+    "detmethod-val": (
+        ["detmethod", "val", "--points", "1:1:1;t:1:t^2", "--deg", "2", "--p", "1"],
+        lambda js, q: js["pivot_valuations"] == [0, 1] and js["e"] == 1,
+    ),
+    "pell-solve": (
+        # x^2 - (t^2 - 1) y^2 = 1 at height 1: (+-1, 0) and (+-t, +-1)
+        ["pell", "solve", "--beta", "t^2 - 1", "--b", "1"],
+        lambda js, q: js["unit"] == ["t", "1"] and js["count"] == 6,
+    ),
+    "groebner-dim": (
+        ["groebner", "dim", "--eq", "x^2 - y", "--names", "x,y"],
+        lambda js, q: js["dim"] == 1,
+    ),
+    "groebner-member": (
+        ["groebner", "member", "--eq", "x^2 - y", "--names", "x,y", "--g", "x^3 - x*y"],
+        lambda js, q: js["member"] is True and js["normal_form"] == "0",
+    ),
+}
+
+
+@pytest.mark.parametrize("q", [2, 3, 32749, 32771, 2**31 - 1])
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_edge_prime_sweep_ends_typed(capsys, name, q):
+    # exit 0 with the closed-form answer, or 1/2 with a reason; never a raise
+    argv, check = SWEEP[name]
+    code, lines, _ = run(capsys, *argv, "--q", str(q))
+    if code == 0:
+        assert check(lines[-1], q), lines[-1]
+    else:
+        assert code in (CONFORMANCE_ERROR, USAGE_ERROR)
+        assert lines[-1]["error"] and lines[-1]["reason"]

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
+from ffheight.census import BudgetExceeded
 from ffheight.groebner import (
-    BudgetError,
     groebner,
     ideal_member,
     krull_dimension,
@@ -119,7 +119,7 @@ def test_groebner_buchberger_closure():
 def test_variable_budget():
     many = 40
     gens = [MultiPoly.var(F5, many, 0)]
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetExceeded):
         groebner(gens)
 
 

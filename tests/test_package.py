@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import ffheight
@@ -24,3 +26,23 @@ def test_no_private_cross_module_imports():
                     if a.name.startswith("_")
                 ]
     assert not offences
+
+
+def test_two_exception_classes_and_no_bare_runtime_error():
+    # every engine limit raises census.BudgetExceeded and bad text raises
+    # ParseError; all other errors are builtin exception types
+    classes, bare = [], []
+    for path in sorted(Path(ffheight.__file__).parent.glob("*.py")):
+        stem = "" if path.stem == "__init__" else f".{path.stem}"
+        mod = importlib.import_module(f"ffheight{stem}")
+        classes += [
+            name
+            for name, obj in vars(mod).items()
+            if inspect.isclass(obj)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == mod.__name__
+        ]
+        if "raise RuntimeError(" in path.read_text():
+            bare.append(path.name)
+    assert sorted(classes) == ["BudgetExceeded", "ParseError"]
+    assert not bare

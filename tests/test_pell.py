@@ -219,3 +219,44 @@ def test_family_needs_large_enough_prime():
     # q = 3 < n + 1 residues cannot support distinct factors
     with pytest.raises(ValueError):
         pell_family(3, 3)
+
+
+def norm_loop_unit(beta):
+    """Oracle: fold every convergent p/q as it comes and stop at the first
+    whose norm p^2 - beta*q^2 is constant.  Exact but O(deg^2) a step, so
+    only small units are affordable."""
+    root = _floor_sqrt(beta)
+    zero, one = UniPoly.zero(beta.field), UniPoly.one(beta.field)
+    P, Q = zero, one
+    p_prev, p_prev2 = one, zero
+    q_prev, q_prev2 = zero, one
+    while True:
+        a = (P + root) // Q
+        p_cur = a * p_prev + p_prev2
+        q_cur = a * q_prev + q_prev2
+        if (p_cur * p_cur - beta * q_cur * q_cur).deg == 0:
+            return p_cur, q_cur
+        P = a * Q - P
+        Q = (beta - P * P).divexact(Q)
+        p_prev2, p_prev = p_prev, p_cur
+        q_prev2, q_prev = q_prev, q_cur
+
+
+def random_admissible_beta(rng, fld, deg):
+    q = fld.p
+    while True:
+        lc = rng.randrange(1, q) ** 2 % q
+        beta = UniPoly(fld, [rng.randrange(q) for _ in range(deg)] + [lc])
+        root = _floor_sqrt(beta)
+        if root * root != beta:
+            return beta
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11])
+def test_unit_matches_norm_loop_oracle(q):
+    rng = random.Random(q)
+    fld = PrimeField(q)
+    for deg in (2, 4, 6):
+        for _ in range(8):
+            beta = random_admissible_beta(rng, fld, deg)
+            assert continued_fraction_unit(beta) == norm_loop_unit(beta), str(beta)

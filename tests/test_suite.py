@@ -23,6 +23,14 @@ TRIMMED_SUITE_LABELS = [
     ("xy=z", "leading constant b=2 q=11"),
     ("t*x^2=y*z", "b=1: x0^2 in I, x0 not in I"),
     ("t*x^2=y*z", "b=2: x1^2 in I, x1 not in I"),
+    *[
+        ("pell", f"{eq}: |solutions| h<=2 across q=(5, 7, 11, 13)")
+        for eq, *_ in PELL_INSTANCES
+    ],
+    *[
+        ("pell family", f"n={n} q={q}: 2^n distinct solutions of height <= n+1")
+        for n, q in ((1, 11), (2, 47), (3, 131))
+    ],
     ("spot: y=x^3 deep", "count b=7 q=3"),
     ("spot: y=x^3 deep", "count b=7 q=5"),
     *[
@@ -37,7 +45,7 @@ TRIMMED_SUITE_LABELS = [
 
 
 def test_trimmed_suite_all_green():
-    rows = run_example_suite(qs=(3, 5, 7), bs=(1, 2), include_pell=False)
+    rows = run_example_suite(qs=(3, 5, 7), bs=(1, 2))
     bad = [r for r in rows if not r.ok]
     assert not bad, [f"{r.example}: {r.detail}" for r in bad]
     assert [(r.example, r.detail) for r in rows] == TRIMMED_SUITE_LABELS
