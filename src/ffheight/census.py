@@ -124,7 +124,9 @@ def _eval_terms(terms, cols, q):
         break
     if n is None:
         n = 1
-    acc = np.zeros(n, dtype=np.int32)
+    # each term is below q, so int32 holds the sum while terms * (q - 1) < 2^31
+    wide = len(terms) * (q - 1) >= 2**31
+    acc = np.zeros(n, dtype=np.int64 if wide else np.int32)
     powers = {}
     for c, ve in terms:
         term = np.full(n, c, dtype=np.int32)

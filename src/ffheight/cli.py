@@ -277,7 +277,7 @@ def _cmd_pell(args):
         beta = parse_unipoly(args.beta, fld)
         gamma = parse_unipoly(args.gamma, fld)
         inst = PellInstance(beta, gamma)
-        res = pell_solutions(inst, args.b)
+        res = pell_solutions(inst, args.b, budget=args.budget)
         _emit(res.to_json())
         _human(f"{len(res)} solutions of height <= {args.b}")
         return 0
@@ -424,7 +424,8 @@ def build_parser():
     pp.add_argument("--b", type=int, default=2)
     pp.add_argument("--n", type=int, default=1)
     pp.add_argument("--q", type=int)
-    pp.set_defaults(fn=_cmd_pell)
+    # no --budget flag: main() fills budget from FFHEIGHT_BUDGET
+    pp.set_defaults(fn=_cmd_pell, budget=None)
 
     pg = sub.add_parser("groebner", help="ideal dimension and membership")
     pg.add_argument("mode", choices=("dim", "member"))

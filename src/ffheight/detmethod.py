@@ -470,7 +470,7 @@ def _residue_rank(pows, basis, q):
     return int(gauss_jordan(mats, len(basis), q).max())
 
 
-def _search_kernel(points, d, nvars, ring, b, accept):
+def _search_kernel(points, d, nvars, ring, b, accept, budget):
     """Incremental M from d: the first degree with an accepted kernel element.
 
     A degree is skipped as soon as the rank reaches |B[M]| - |B[M-d]|: the
@@ -478,7 +478,9 @@ def _search_kernel(points, d, nvars, ring, b, accept):
     a few residues a certify most skips without elimination over F_q[t].
     Otherwise each kernel vector, cleared to a primitive g, goes to
     accept(g, M, rank, kernel_dim, s_target), which returns the result or
-    None to try the next one.
+    None to try the next one.  The residue tables may reach
+    min(q, _CERT_RESIDUES) * |points| * |B[m_max]| entries; a search that
+    large raises BudgetExceeded before anything is allocated.
     """
     # rank never exceeds the number of points, so the search is
     # guaranteed to close once the restricted monomial count passes it
@@ -486,6 +488,12 @@ def _search_kernel(points, d, nvars, ring, b, accept):
     while basis_size(m_max, nvars) - basis_size(m_max - d, nvars) <= len(points):
         m_max += 1
     q = ring.base.p
+    work = min(q, _CERT_RESIDUES) * len(points) * basis_size(m_max, nvars)
+    if work > budget:
+        raise BudgetExceeded(
+            f"degree search may tabulate {work} residue entries up to M = {m_max}",
+            estimate=work,
+        )
     if points:
         # the points come from point_stream, so q <= census.MAX_Q and the
         # products of two residues fit in int64
@@ -557,7 +565,9 @@ def auxiliary_poly_projective(
             details={"s_target": s_target},
         )
 
-    return _search_kernel([pt.coords for pt in pts], d, nvars, ring, b, accept)
+    return _search_kernel(
+        [pt.coords for pt in pts], d, nvars, ring, b, accept, budget
+    )
 
 
 def _constant_point_off(f: MultiPoly, rng):
@@ -688,4 +698,4 @@ def auxiliary_poly_affine(
             },
         )
 
-    return _search_kernel(lifted, d, n + 1, ring, b, accept)
+    return _search_kernel(lifted, d, n + 1, ring, b, accept, budget)

@@ -35,19 +35,12 @@ class PolyMatrix:
         return cls(tuple(tuple(parse_unipoly(s, fld) for s in r) for r in rows))
 
     @property
-    def field(self) -> PrimeField:
-        return self.rows[0][0].field
-
-    @property
     def nrows(self) -> int:
         return len(self.rows)
 
     @property
     def ncols(self) -> int:
         return len(self.rows[0])
-
-    def to_json(self):
-        return [[str(e) for e in r] for r in self.rows]
 
 
 def _as_rows(M):

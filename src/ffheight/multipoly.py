@@ -1,8 +1,10 @@
 """Sparse multivariate polynomials over F_p or F_p[t].
 
 Terms map exponent vectors to nonzero coefficients; the coefficient domain is
-carried as a ring tag (PrimeField, PolyRing).  The fixed monomial
-order everywhere is graded reverse lexicographic.
+carried as a ring tag (PrimeField, PolyRing), and evaluation runs one loop
+for both.  The fixed monomial order everywhere is graded reverse
+lexicographic.  Division is asked only whether it is exact: `divides` runs
+one remainder loop and stops at the first leading term it cannot cancel.
 """
 
 from __future__ import annotations
@@ -202,16 +204,6 @@ class MultiPoly:
         if len(vals) != self.nvars:
             raise ValueError("wrong number of values")
         ring = self.ring
-        if isinstance(ring, PrimeField):
-            p = ring.p
-            acc = 0
-            for e, c in self.terms.items():
-                v = c
-                for x, k in zip(vals, e):
-                    if k:
-                        v = v * pow(x, k, p) % p
-                acc = (acc + v) % p
-            return acc
         acc = ring.zero
         pows = {}  # (variable, exponent) -> vals[variable]^exponent
         for e, c in self.terms.items():
@@ -297,47 +289,36 @@ class MultiPoly:
         return self.map_coeffs(lambda c: c.divexact(g), self.ring)
 
     # -- division --------------------------------------------------------------
-    def divmod_single(self, g):
-        """Multivariate division by one divisor in grevlex order."""
-        self._compat(g)
-        if g.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        ring = self.ring
-        ge, gc = g.leading_term()
-        q = MultiPoly.zero(ring, self.nvars)
-        r = MultiPoly.zero(ring, self.nvars)
-        rem = self
-        while not rem.is_zero():
-            e, c = rem.leading_term()
-            if monomial_divides(ge, e):
-                if isinstance(ring, PrimeField):
-                    factor = ring.div(c, gc)
-                else:
-                    qq, rr = divmod(c, gc)
-                    if not rr.is_zero():
-                        # leading coefficient does not divide: move term to remainder
-                        r = r + MultiPoly(ring, self.nvars, {e: c})
-                        rem = rem - MultiPoly(ring, self.nvars, {e: c})
-                        continue
-                    factor = qq
-                me = monomial_div(e, ge)
-                q = q + MultiPoly(ring, self.nvars, {me: factor})
-                rem = rem - g.term_mul(me, factor)
-            else:
-                r = r + MultiPoly(ring, self.nvars, {e: c})
-                rem = rem - MultiPoly(ring, self.nvars, {e: c})
-        return q, r
-
     def divides(self, f) -> bool:
-        """Does self divide f (over the fraction field for O_K coefficients)."""
+        """Does self divide f (over the fraction field for O_K coefficients).
+
+        Gauss's lemma: a primitive divisor divides f over F_p(t) iff over
+        F_p[t].  f is divided by it in grevlex order; a leading term whose
+        monomial, or over F_p[t] whose coefficient, the divisor's leading
+        term does not divide would stay in the remainder for good.
+        """
         if f.is_zero():
             return True
         if self.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        # Gauss's lemma: a primitive divisor divides f over F_p(t) iff over F_p[t],
-        # and then every leading coefficient met divides, so the remainder is 0.
-        d = self.primitive_part() if isinstance(self.ring, PolyRing) else self
-        return f.divmod_single(d)[1].is_zero()
+        self._compat(f)
+        ring = self.ring
+        over_field = isinstance(ring, PrimeField)
+        d = self if over_field else self.primitive_part()
+        ge, gc = d.leading_term()
+        rem = f
+        while not rem.is_zero():
+            e, c = rem.leading_term()
+            if not monomial_divides(ge, e):
+                return False
+            if over_field:
+                factor = ring.div(c, gc)
+            else:
+                factor, r = divmod(c, gc)
+                if not r.is_zero():
+                    return False
+            rem = rem - d.term_mul(monomial_div(e, ge), factor)
+        return True
 
     # -- misc -------------------------------------------------------------------
     def __eq__(self, other):

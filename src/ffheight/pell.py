@@ -6,8 +6,10 @@ and yields the fundamental unit.  Only the polynomial part A of sqrt(beta)
 is ever needed: every partial quotient is a floor division in F_q[t]
 (Artin, 1924), and the unit search walks only the bounded-degree (P, Q)
 recurrence.  Bounded-height solution sets are produced by coefficient
-enumeration (the completeness authority) and cross-checked against the
-unit orbit of the found solutions.
+enumeration (the completeness authority) and checked by one unit step:
+every sign change of a solution, and its product with the norm-one unit
+or its conjugate when that stays inside the height bound, must be found
+too.
 
 Odd characteristic only: completing squares and the sqrt recurrence both
 divide by 2.
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import BudgetExceeded, point_stream
+from .census import DEFAULT_BUDGET, BudgetExceeded, point_stream
 from .multipoly import MultiPoly
 from .rings import PolyRing, PrimeField, UniPoly, is_prime
 from .varieties import VarietySpec
@@ -82,8 +84,6 @@ class PellInstance:
 
 # partial quotients continued_fraction_unit takes before BudgetExceeded
 CF_GUARD = 20_000
-# steps of seed * w^k taken in each direction before unit_orbit gives up
-ORBIT_GUARD = 400
 # find_family_prime searches the primes up to this bound
 FAMILY_QMAX = 200
 
@@ -142,33 +142,6 @@ def _mul_pair(beta, a, b):
     return (a[0] * b[0] + beta * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def unit_orbit(inst: PellInstance, seed, b: int, w=None):
-    """All sign variants of seed * w^k with height <= b."""
-    beta = inst.beta
-    if w is None:
-        w = _norm_one_unit(beta, continued_fraction_unit(beta))
-    wbar = (w[0], -w[1])
-    found = set()
-
-    def push(x, y):
-        for sx in (x, -x):
-            for sy in (y, -y):
-                found.add((sx, sy))
-
-    for step_unit in (w, wbar):
-        cur = seed
-        for _ in range(ORBIT_GUARD):
-            h = max(
-                cur[0].deg if not cur[0].is_zero() else 0,
-                cur[1].deg if not cur[1].is_zero() else 0,
-            )
-            if h > b:
-                break
-            push(*cur)
-            cur = _mul_pair(beta, cur, step_unit)
-    return found
-
-
 @dataclass
 class PellSolutionSet:
     instance: PellInstance
@@ -197,11 +170,21 @@ def _sort_key(pair):
     return (max(hx, hy), str(x), str(y))
 
 
-def pell_solutions(inst: PellInstance, b: int) -> PellSolutionSet:
+def _height(pair):
+    return max(c.deg if not c.is_zero() else 0 for c in pair)
+
+
+def pell_solutions(
+    inst: PellInstance, b: int, budget: int = DEFAULT_BUDGET
+) -> PellSolutionSet:
     """Complete set of solutions of height <= b, by coefficient enumeration.
 
-    The unit orbit of every solution is regenerated and must stay inside the
-    enumerated set (up to the height cut).
+    The set is checked by one unit step: the sign changes of every solution,
+    and its products with w and w-bar of height <= b, must lie in it.  For
+    alpha = x + y sqrt(beta), deg alpha + deg alpha-bar = deg gamma and both
+    are at most h + deg(beta)/2, so a step of degree +-2 deg u lands at
+    height >= 2 deg u + deg gamma - b - deg beta; w is built only when that
+    can be <= b.
     """
     fld = inst.field
     ring = PolyRing(fld)
@@ -214,7 +197,7 @@ def pell_solutions(inst: PellInstance, b: int) -> PellSolutionSet:
     )
     X = VarietySpec("affine", ("x", "y"), (f,), field=fld)
     # census bounds are strict: height <= b means degrees < b + 1
-    pts = point_stream(X, b + 1)
+    pts = point_stream(X, b + 1, budget=budget)
     sols = set()
     for pt in pts:
         sx, sy = pt.coords
@@ -222,15 +205,16 @@ def pell_solutions(inst: PellInstance, b: int) -> PellSolutionSet:
             raise AssertionError("enumerated point fails the norm identity")
         sols.add((sx, sy))
     unit = continued_fraction_unit(inst.beta)
-    if sols:
+    steps = []
+    if sols and 2 * unit[0].deg <= 2 * b + inst.beta.deg - inst.gamma.deg:
         w = _norm_one_unit(inst.beta, unit)
-        for seed in list(sols):
-            orbit = unit_orbit(inst, seed, b, w=w)
-            for cand in orbit:
-                if not inst.is_solution(*cand):
-                    raise AssertionError("orbit left the solution set")
-                if cand not in sols:
-                    raise AssertionError("orbit found a solution enumeration missed")
+        steps = [w, (w[0], -w[1])]
+    for sx, sy in sols:
+        near = [(sx, -sy), (-sx, sy), (-sx, -sy)]
+        near += [_mul_pair(inst.beta, (sx, sy), step) for step in steps]
+        for cand in near:
+            if _height(cand) <= b and cand not in sols:
+                raise AssertionError("a unit step found a solution enumeration missed")
     ordered = tuple(sorted(sols, key=_sort_key))
     return PellSolutionSet(instance=inst, b=b, solutions=ordered, unit=unit)
 
@@ -293,8 +277,7 @@ def pell_family(n: int, q: int):
     for yv, xv in sols:
         if inst.norm(yv, xv) != gamma:
             raise AssertionError("family product fails the norm identity")
-        h = max(yv.deg, xv.deg if not xv.is_zero() else 0)
-        if h > n + 1:
+        if _height((yv, xv)) > n + 1:
             raise AssertionError("family solution exceeds the height bound")
     if len(sols) != 1 << n:
         raise ValueError(f"sign products collided: {len(sols)} < {1 << n}")

@@ -196,7 +196,7 @@ def _check_pell(rows, budget):
         counts = []
         for q in PELL_QS:
             inst = pell_instance(bc, gc, q)
-            sols = pell_solutions(inst, PELL_HEIGHT)
+            sols = pell_solutions(inst, PELL_HEIGHT, budget=budget)
             counts.append(len(sols))
         rows.append(
             _row(

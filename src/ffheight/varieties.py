@@ -75,13 +75,6 @@ class VarietySpec:
     def ncoords(self) -> int:
         return len(self.names)
 
-    def to_strs(self):
-        return [poly_to_str(f, self.names) for f in self.equations]
-
-    def __str__(self):
-        eqs = ", ".join(f"{s} = 0" for s in self.to_strs())
-        return f"{self.ambient} V({eqs}) in ({', '.join(self.names)})"
-
 
 def variety_from_strs(ambient, names, equation_strs, q, inequation_strs=()):
     fld = PrimeField(q)
@@ -104,10 +97,6 @@ class HeightPoint:
             raise ValueError("point needs at least one coordinate")
         if self.projective and all(c.is_zero() for c in self.coords):
             raise ValueError("projective point cannot be all zero")
-
-    @property
-    def field(self):
-        return self.coords[0].field
 
     def primitive(self):
         """Divide out the monic gcd of the coordinates (projective points)."""

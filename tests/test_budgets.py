@@ -3,7 +3,7 @@
 import pytest
 
 from ffheight import detmethod, groebner, pell
-from ffheight.census import BudgetExceeded, count_points
+from ffheight.census import DEFAULT_BUDGET, BudgetExceeded, count_points
 from ffheight.multipoly import MultiPoly
 from ffheight.parsing import parse_poly, parse_unipoly
 from ffheight.rings import PolyRing, PrimeField
@@ -31,7 +31,9 @@ def groebner_basis_too_large(monkeypatch):
 
 
 def degree_search_never_accepts(monkeypatch):
-    detmethod._search_kernel([], 2, 3, PolyRing(F5), 1, lambda *args: None)
+    detmethod._search_kernel(
+        [], 2, 3, PolyRing(F5), 1, lambda *args: None, DEFAULT_BUDGET
+    )
 
 
 def continued_fraction_past_guard(monkeypatch):
@@ -59,3 +61,13 @@ def test_continued_fraction_closes_at_the_guard(monkeypatch):
     monkeypatch.setattr(pell, "CF_GUARD", 5)
     u, v = pell.continued_fraction_unit(BETA)
     assert (u * u - BETA * v * v).deg == 0
+
+
+def test_degree_search_budget_counts_the_residue_tables():
+    # 5 residues x 2 points x |B[10]| = 66 entries: m_max = 10 at d = 2, b = 1
+    one = parse_unipoly("1", F5)
+    args = ([(one, one, one)] * 2, 2, 3, PolyRing(F5), 1, lambda *a: 0)
+    with pytest.raises(BudgetExceeded) as info:
+        detmethod._search_kernel(*args, 659)
+    assert info.value.estimate == 5 * 2 * 66
+    assert detmethod._search_kernel(*args, 660) == 0

@@ -15,8 +15,11 @@ from ffheight.census import (
     dim_estimate,
     point_stream,
 )
-from ffheight.rings import PrimeField, UniPoly
-from ffheight.varieties import HeightPoint, on_variety, variety_from_strs
+from ffheight.lattices import kernel_lattice, linear_space_count
+from ffheight.multipoly import MultiPoly
+from ffheight.rings import PolyRing, PrimeField, UniPoly
+from ffheight.varieties import HeightPoint, VarietySpec, on_variety, variety_from_strs
+from minors_oracle import plucker_minors
 
 
 def brute_affine_count(X, b):
@@ -462,3 +465,44 @@ def test_batched_gauss_jordan_matches_reference():
                 for f in range(len(stack)):
                     want, r = _rref_mod(stack[f].tolist(), q, ncols)
                     assert rank[f] == r and got[f].tolist() == want, (q, f)
+
+
+def test_eval_terms_exact_past_int32():
+    # 70,000 terms (q - 1) x sum past 2^31 before the final reduction
+    q = 32749
+    terms = [(q - 1, ((0, 1),))] * 70_000
+    cols = {0: np.array([1, 2, 3], dtype=np.int16)}
+    got = census._eval_terms(terms, cols, q)
+    assert got.tolist() == [(-70_000 * x) % q for x in (1, 2, 3)]
+    assert got.tolist() == [28247, 23745, 19243]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_linear_census_matches_kernel_lattice(q):
+    # the kernel of a full-rank A is saturated with a reduced basis of
+    # minima s_i, so the points of height < b number q^(sum max(b - s_i, 0))
+    rng = random.Random(q)
+    fld = PrimeField(q)
+    ring = PolyRing(fld)
+    checked = 0
+    while checked < 20:
+        n = rng.randint(2, 3)
+        m = rng.randint(1, n - 1)
+        A = [
+            [UniPoly(fld, [rng.randrange(q) for _ in range(rng.randint(0, 3))])
+             for _ in range(n)]
+            for _ in range(m)
+        ]
+        if all(minor.is_zero() for minor in plucker_minors(A)):
+            continue
+        names = ("x", "y", "z")[:n]
+        eqs = tuple(
+            MultiPoly(ring, n, {tuple(int(i == j) for i in range(n)): c
+                                for j, c in enumerate(row)})
+            for row in A
+        )
+        X = VarietySpec("affine", names, eqs, field=fld)
+        b = rng.randint(1, 3)
+        dim = linear_space_count(kernel_lattice(A), b)
+        assert count_points(X, b).count == q**dim, (q, A, b)
+        checked += 1

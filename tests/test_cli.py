@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -372,6 +373,35 @@ def test_pell_guard_exits_1_with_budget(capsys, monkeypatch):
     assert code == CONFORMANCE_ERROR
     assert lines[-1]["reason"] == "budget"
     assert "within 3 partial quotients" in lines[-1]["detail"]
+
+
+def test_pell_solve_reads_the_budget_env_var(capsys, monkeypatch):
+    argv = ("pell", "solve", "--beta", "t^2 - 1", "--b", "1", "--q", "5")
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv("FFHEIGHT_BUDGET", "10")
+    code, lines, _ = run(capsys, *argv)
+    assert code == CONFORMANCE_ERROR
+    assert lines[-1]["reason"] == "budget"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 10,201 class points, so the search may run to M = 10,201
+        ["--affine", "--f", "y - x", "--names", "x,y", "--q", "101"],
+        # thousands of class points on the line x = y in P^2
+        ["--f", "x - y", "--names", "x,y,z", "--q", "17"],
+    ],
+    ids=["affine-q101", "projective-q17"],
+)
+def test_degree_search_too_large_exits_budget(capsys, argv):
+    # its residue tables would take gigabytes: stop before allocating them
+    start = time.perf_counter()
+    code, lines, _ = run(capsys, "detmethod", "aux", "--b", "2", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == CONFORMANCE_ERROR
+    assert lines[-1]["reason"] == "budget"
+    assert lines[-1]["estimate"] > 10**9
 
 
 # one command per engine; each answer has a closed form valid for every q

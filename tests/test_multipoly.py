@@ -110,34 +110,18 @@ def test_content_primitive():
     assert pp.scale(f.content()) == f
 
 
-def test_divmod_single_invariant():
-    rng = random.Random(6)
-    for _ in range(60):
-        f = rand_poly(rng, F5, 2)
-        g = rand_poly(rng, F5, 2)
-        if g.is_zero():
-            continue
-        q, r = f.divmod_single(g)
-        assert q * g + r == f
-        lt = g.leading_term()[0]
-        for exps in r.terms:
-            assert not monomial_divides(lt, exps)
-
-
 def test_divides_and_divexact():
     rng = random.Random(7)
-    hits = 0
-    for _ in range(40):
-        f = rand_poly(rng, OK5, 2, nterms=2)
-        g = rand_poly(rng, OK5, 2, nterms=2)
-        if f.is_zero() or g.is_zero():
-            continue
-        prod = f * g
-        assert f.divides(prod)
-        q, r = prod.divmod_single(f)
-        assert r.is_zero() and q * f == prod
-        hits += 1
-    assert hits > 20
+    for ring in (OK5, F5):
+        hits = 0
+        for _ in range(40):
+            f = rand_poly(rng, ring, 2, nterms=2)
+            g = rand_poly(rng, ring, 2, nterms=2)
+            if f.is_zero() or g.is_zero():
+                continue
+            assert f.divides(f * g)
+            hits += 1
+        assert hits > 20
 
 
 def _rand_coeff_poly(rng, ring, nterms):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from ffheight import pell
 from ffheight.pell import (
     PellInstance,
     _floor_sqrt,
@@ -13,7 +14,6 @@ from ffheight.pell import (
     find_family_prime,
     pell_family,
     pell_solutions,
-    unit_orbit,
 )
 from ffheight.parsing import parse_unipoly
 from ffheight.rings import PrimeField, UniPoly
@@ -140,15 +140,6 @@ def test_fundamental_unit_is_minimal_for_quartics_over_f3():
     assert min(unit_degs) == 2 and max(unit_degs) == 7
 
 
-def test_unit_orbit_preserves_norm():
-    inst = PellInstance(T("t^2 - 1"), UniPoly.one(F5))
-    orbit = unit_orbit(inst, (T("t"), T("1")), 4)
-    assert len(orbit) > 2
-    for x, y in orbit:
-        assert inst.norm(x, y) == inst.gamma
-        assert max(x.deg, y.deg if not y.is_zero() else 0) <= 4
-
-
 def test_pell_solutions_match_brute_force():
     cases = [
         ("t^2 - 1", "1"),
@@ -177,6 +168,45 @@ def test_pell_solutions_json():
     assert js["beta"] == "t^2 + 4"  # coefficients print mod 5
     assert js["count"] == len(js["solutions"])
     assert js["unit"] == ["t", "1"]
+
+
+def test_no_norm_one_unit_when_no_step_fits(monkeypatch):
+    # deg u = 15: a step by w moves a solution to height >= 30 + 0 - 1 - 4,
+    # past b = 1, so w is never built
+    def refuse(*args):
+        raise AssertionError("w built although no step fits in height 1")
+
+    monkeypatch.setattr(pell, "_norm_one_unit", refuse)
+    F11 = PrimeField(11)
+    inst = PellInstance(T("t^4 + t + 1", F11), UniPoly.one(F11))
+    js = pell_solutions(inst, 1).to_json()
+    assert js["unit"] == [
+        "2*t^15 + 6*t^14 + 9*t^13 + 3*t^12 + 8*t^10 + t^9 + 2*t^8 + t^7 + 5*t^6"
+        " + 10*t^5 + 5*t^4 + 3*t^3 + 2*t^2 + 7*t + 9",
+        "2*t^13 + 6*t^12 + 9*t^11 + 2*t^10 + 7*t^9 + 6*t^8 + 4*t^7 + 7*t^6"
+        " + 7*t^5 + 10*t^4 + 9*t^3 + 9*t^2 + 9*t + 5",
+    ]
+    assert js["solutions"] == [["1", "0"], ["10", "0"]]
+
+
+# over F_5, w = (2t^2 - 1, 2t) takes (1, 0) to height 2: dropping all four
+# sign changes of it leaves only the unit step to notice
+W_CLASS = [("2*t^2 + 4", "2*t"), ("2*t^2 + 4", "3*t"), ("3*t^2 + 1", "2*t"),
+           ("3*t^2 + 1", "3*t")]
+
+
+@pytest.mark.parametrize("dropped", [W_CLASS[:1], W_CLASS], ids=["one", "sign-class"])
+def test_check_catches_a_dropped_solution(monkeypatch, dropped):
+    drop = {(T(x), T(y)) for x, y in dropped}
+    stream = pell.point_stream
+    monkeypatch.setattr(
+        pell,
+        "point_stream",
+        lambda *a, **k: [pt for pt in stream(*a, **k) if pt.coords not in drop],
+    )
+    inst = PellInstance(T("t^2 - 1"), UniPoly.one(F5))
+    with pytest.raises(AssertionError, match="unit step"):
+        pell_solutions(inst, 2)
 
 
 def test_family_gamma_product():
